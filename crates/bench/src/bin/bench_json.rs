@@ -32,9 +32,9 @@
 
 use jumpslice_bench::harness::Runner;
 use jumpslice_bench::{criterion_pool, sized_structured, sized_unstructured};
+use jumpslice_core::reference::agrawal_slice_reference;
 use jumpslice_core::{
-    agrawal_slice, agrawal_slice_reference, conservative_slice, conventional_slice, Analysis,
-    BatchSlicer, Criterion,
+    agrawal_slice, conservative_slice, conventional_slice, Analysis, BatchSlicer, Criterion,
 };
 use jumpslice_incr::{apply_edit, Edit, EditExpr, EditSession, NewStmt};
 use jumpslice_lang::{path_of, StmtId, StmtKind, StmtPath};

@@ -53,26 +53,6 @@ pub fn agrawal_slice_with_order(
     figure7(a, crit, jump_order, None)
 }
 
-/// The dense round-based Figure-7 loop, kept verbatim as the differential
-/// baseline for the sparse kernel (`sparse::figure7_sparse`), which must be
-/// bit-identical to it. Driven by the pdom preorder, like
-/// [`agrawal_slice`].
-///
-/// # Examples
-///
-/// ```
-/// use jumpslice_core::{corpus, Analysis, Criterion};
-/// use jumpslice_core::{agrawal_slice, agrawal_slice_reference};
-/// let p = corpus::fig3();
-/// let a = Analysis::new(&p);
-/// let crit = Criterion::at_stmt(p.at_line(15));
-/// assert_eq!(agrawal_slice(&a, &crit), agrawal_slice_reference(&a, &crit));
-/// ```
-pub fn agrawal_slice_reference(a: &Analysis<'_>, crit: &Criterion) -> Slice {
-    let order = a.jumps_in_pdom_preorder();
-    figure7_reference(a, crit, &order, None)
-}
-
 /// The single Figure-7 entry point behind both the plain slicers and the
 /// traced [`crate::agrawal_slice_traced`]: one code path, so a provenance
 /// record can never diverge from the slice it explains. `rec`, when present,

@@ -10,7 +10,7 @@ use jumpslice_obs as obs;
 use jumpslice_pdg::{ClosureIndex, ControlDeps, Pdg};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{mpsc, OnceLock};
 
 /// Build counters exposed through [`Analysis::stats`].
 ///
@@ -84,10 +84,15 @@ impl AnalysisSeed {
 /// Laziness matters for the cheap algorithms: `conservative_slice`
 /// (Figure 13) is advertised by the paper as needing neither the
 /// postdominator tree nor the lexical successor tree, and with this struct
-/// it no longer pays for the LST (the pdom tree is only forced if a label
-/// actually needs re-associating). `Criterion::vars_at` slices share one
+/// it never pays for the LST. It does force the postdominator tree, since
+/// the PDG's control half is derived from it — the same single tree every
+/// other consumer reads. `Criterion::vars_at` slices share one
 /// reaching-definitions fixpoint instead of re-running it per criterion,
 /// and the PDG's data half is derived from that same cached fixpoint.
+///
+/// Each artifact has exactly one builder, the init closure of its
+/// accessor; [`Analysis::warm`] and [`Analysis::warm_parallel`] only decide
+/// which thread calls which accessor.
 ///
 /// All lazy state lives in [`OnceLock`]s, so a fully materialized
 /// `Analysis` is `Sync` and can be shared by reference across the batch
@@ -243,17 +248,64 @@ impl<'p> Analysis<'p> {
     }
 
     /// The (unaugmented) program dependence graph (computed on first use;
-    /// its data half reuses the cached reaching-definitions fixpoint).
+    /// its data half reuses the cached reaching-definitions fixpoint, its
+    /// control half the cached postdominator tree).
     pub fn pdg(&self) -> &Pdg {
+        self.pdg_with(1, || self.control_deps())
+    }
+
+    /// The PDG's one builder. The data half fans out over `threads`
+    /// statement ranges (see [`DataDeps::deps_of_range`]); `control`
+    /// supplies the control half — computed in place by the lazy accessor,
+    /// received from the helper thread by the warm schedule.
+    fn pdg_with(&self, threads: usize, control: impl FnOnce() -> ControlDeps) -> &Pdg {
         self.cache_probe(obs::Artifact::Pdg, self.pdg.get().is_some());
         self.pdg.get_or_init(|| {
             self.n_pdg.fetch_add(1, Ordering::Relaxed);
             let reaching = self.reaching();
             let _t = obs::phase(obs::Phase::PdgBuild);
-            let data = DataDeps::from_reaching(self.prog, &self.cfg, reaching);
-            let control = ControlDeps::compute(self.prog, &self.cfg);
-            Pdg::from_parts(data, control)
+            let data = self.data_deps(reaching, threads);
+            Pdg::from_parts(data, control())
         })
+    }
+
+    /// Data dependence from `rd`, split into `threads` statement ranges.
+    /// The coordinator takes the first range itself; each statement's list
+    /// depends only on its own uses and IN set, so the concatenation is
+    /// the same under any split.
+    fn data_deps(&self, rd: &ReachingDefs, threads: usize) -> DataDeps {
+        let n = self.prog.len();
+        let chunk = n.div_ceil(threads).max(1);
+        let ranges: Vec<(usize, usize)> = (0..n)
+            .step_by(chunk)
+            .map(|lo| (lo, (lo + chunk).min(n)))
+            .collect();
+        let deps_of =
+            |&(lo, hi): &(usize, usize)| DataDeps::deps_of_range(self.prog, &self.cfg, rd, lo, hi);
+        let deps = std::thread::scope(|scope| {
+            let handles: Vec<_> = ranges
+                .iter()
+                .skip(1)
+                .map(|r| spawn_caught(scope, move || deps_of(r)))
+                .collect();
+            let mut deps = ranges.first().map(deps_of).unwrap_or_default();
+            for h in handles {
+                deps.extend(join_caught("data_deps", h));
+            }
+            deps
+        });
+        if threads > 1 {
+            obs::record(|| obs::Event::Count {
+                name: "analysis.parallel.data_ranges",
+                value: ranges.len() as u64,
+            });
+        }
+        DataDeps::from_deps(deps)
+    }
+
+    /// The PDG's control half, over the cached postdominator tree.
+    fn control_deps(&self) -> ControlDeps {
+        ControlDeps::compute_with_pdom(self.prog, &self.cfg, self.pdom())
     }
 
     /// The lexical successor tree (computed on first use).
@@ -407,44 +459,40 @@ impl<'p> Analysis<'p> {
     /// Forces every lazy artifact now. The batch slicer calls this before
     /// fanning out so worker threads share fully materialized state instead
     /// of racing to initialize it (the `OnceLock`s make such races safe,
-    /// merely wasteful).
+    /// merely wasteful). Runs the [`Analysis::warm_parallel`] schedule on
+    /// one thread, without the closure index.
     pub fn warm(&self) {
-        let _ = (self.reaching(), self.pdg(), self.pdom(), self.lst());
-        let _ = self.chain_index();
+        if !self.built(false) {
+            self.schedule(1, false);
+        }
     }
 
-    /// True when every artifact the sequential [`Analysis::warm`] pass
-    /// computes is already cached. The condensed closure index is
-    /// deliberately excluded: it is never restored from a seed (see
-    /// [`AnalysisSeed`]), so callers that re-solve warm seeds per request
-    /// use this probe to avoid re-paying the condensation build on a path
-    /// where it could not be amortised anyway.
+    /// True when every artifact [`Analysis::warm`] computes is already
+    /// cached. The condensed closure index is deliberately excluded: it is
+    /// never restored from a seed (see [`AnalysisSeed`]), so callers that
+    /// re-solve warm seeds per request use this probe to avoid re-paying
+    /// the condensation build on a path where it could not be amortised
+    /// anyway.
     pub fn is_warm(&self) -> bool {
-        self.reaching.get().is_some()
-            && self.pdg.get().is_some()
-            && self.pdom.get().is_some()
-            && self.lst.get().is_some()
-            && self.chain_index.get().is_some()
+        self.built(false)
     }
 
     /// [`Analysis::warm`] plus the condensed closure index, scheduled
     /// across `threads` scoped worker threads along the real phase DAG:
     ///
-    /// - a helper thread runs the CFG-only chain (postdominators, control
-    ///   dependence, lexical successor tree) while the coordinator runs
-    ///   the reaching-definitions fixpoint;
-    /// - once IN-sets land, data-dependence construction fans out over
-    ///   statement ranges (the per-range forward lists concatenate to
-    ///   exactly the sequential result — see
-    ///   [`DataDeps::deps_of_range`]);
-    /// - the chain-index build overlaps the PDG merge and the closure-
-    ///   index condensation on the coordinator.
+    /// - a helper thread runs the CFG-only chain: postdominators, control
+    ///   dependence, lexical successor tree, chain index;
+    /// - meanwhile the coordinator runs the reaching-definitions fixpoint,
+    ///   fans data-dependence construction out over statement ranges (see
+    ///   [`DataDeps::deps_of_range`]), merges the PDG once the helper hands
+    ///   over control dependence, and condenses it into the closure index.
     ///
-    /// Deterministic: the installed artifacts are bit-identical to the
-    /// sequential path under any thread count. `threads <= 1` runs the
-    /// plain sequential warm (plus the closure index). Worker threads
-    /// have empty trace sinks, so phases computed off-coordinator emit no
-    /// events; the coordinator emits a `parallel_warm` phase and
+    /// Every artifact is built by its own accessor, so the schedule only
+    /// decides which thread calls which accessor, and the installed
+    /// artifacts are bit-identical under any thread count. `threads <= 1`
+    /// runs the same schedule inline. Worker threads have empty trace
+    /// sinks, so phases computed off-coordinator emit no events; the
+    /// coordinator emits a `parallel_warm` phase and
     /// `analysis.parallel.*` counters when there was cold work to do.
     ///
     /// # Panics
@@ -453,130 +501,66 @@ impl<'p> Analysis<'p> {
     /// phase name attached (mirroring how `BatchSlicer::try_slice_all`
     /// attributes a slicer panic to its criterion).
     pub fn warm_parallel(&self, threads: usize) {
-        if threads <= 1 {
-            self.warm();
-            let _ = self.closure_index();
-            return;
+        if self.built(true) {
+            return; // fully warm: nothing to schedule
         }
-        if self.reaching.get().is_some()
+        let _t = obs::phase(obs::Phase::ParallelWarm);
+        self.schedule(threads.max(1), true);
+        obs::record(|| obs::Event::Count {
+            name: "analysis.parallel.threads",
+            value: threads as u64,
+        });
+    }
+
+    /// Whether every [`Analysis::warm`] artifact — plus the closure index
+    /// when `closure` — is cached.
+    fn built(&self, closure: bool) -> bool {
+        self.reaching.get().is_some()
             && self.pdg.get().is_some()
             && self.pdom.get().is_some()
             && self.lst.get().is_some()
             && self.chain_index.get().is_some()
-            && self.closure_index.get().is_some()
-        {
-            return; // fully warm: nothing to schedule
-        }
-        let _t = obs::phase(obs::Phase::ParallelWarm);
+            && (!closure || self.closure_index.get().is_some())
+    }
+
+    /// The phase DAG behind [`Analysis::warm`] and
+    /// [`Analysis::warm_parallel`]: the CFG-only chain runs on a helper
+    /// thread when `threads > 1` and inline first otherwise; control
+    /// dependence reaches the PDG merge over a channel either way.
+    fn schedule(&self, threads: usize, closure: bool) {
         let need_pdg = self.pdg.get().is_none();
-        let n = self.prog.len();
-        std::thread::scope(|scope| {
-            // CFG-only chain: nothing here reads the reaching fixpoint or
-            // the PDG, so it overlaps both.
-            let helper = spawn_caught(scope, || {
-                let pdom = (self.pdom.get().is_none()).then(|| self.cfg.postdominators());
-                let control = need_pdg.then(|| {
-                    let tree = pdom
-                        .as_ref()
-                        .or_else(|| self.pdom.get())
-                        .expect("pdom just computed or already cached");
-                    ControlDeps::compute_with_pdom(self.prog, &self.cfg, tree)
-                });
-                let lst = (self.lst.get().is_none())
-                    .then(|| LexSuccTree::build(self.prog, &self.structure));
-                (pdom, control, lst)
-            });
-
-            // The reaching-definitions fixpoint on the coordinator.
-            if self.reaching.get().is_none() {
-                let rd = {
-                    let _t = obs::phase(obs::Phase::ReachingDefs);
-                    ReachingDefs::compute(self.prog, &self.cfg)
-                };
-                if self.reaching.set(rd).is_ok() {
-                    self.n_reaching.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-
-            // Data-dependence fan-out over statement ranges; the
-            // coordinator takes the first range itself.
-            let mut parts: Vec<Vec<Vec<StmtId>>> = Vec::new();
+        let (tx, rx) = mpsc::channel();
+        let cfg_chain = move || {
+            let _ = self.pdom();
             if need_pdg {
-                let rd = self.reaching.get().expect("installed above");
-                let chunk = n.div_ceil(threads).max(1);
-                let ranges: Vec<(usize, usize)> = (0..threads)
-                    .map(|i| (i * chunk, ((i + 1) * chunk).min(n)))
-                    .filter(|&(lo, hi)| lo < hi)
-                    .collect();
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .skip(1)
-                    .map(|&(lo, hi)| {
-                        spawn_caught(scope, move || {
-                            DataDeps::deps_of_range(self.prog, &self.cfg, rd, lo, hi)
-                        })
-                    })
-                    .collect();
-                if let Some(&(lo, hi)) = ranges.first() {
-                    parts.push(DataDeps::deps_of_range(self.prog, &self.cfg, rd, lo, hi));
-                }
-                for h in handles {
-                    parts.push(join_caught("data_deps", h));
-                }
-                obs::record(|| obs::Event::Count {
-                    name: "analysis.parallel.data_ranges",
-                    value: ranges.len() as u64,
-                });
+                let _ = tx.send(self.control_deps());
             }
-
-            let (pdom, control, lst) = join_caught("cfg_chain", helper);
-            if let Some(x) = pdom {
-                if self.pdom.set(x).is_ok() {
-                    self.n_pdom.fetch_add(1, Ordering::Relaxed);
-                }
+            let _ = self.lst();
+            let _ = self.chain_index();
+        };
+        std::thread::scope(|scope| {
+            let mut helper = None;
+            if threads > 1 {
+                helper = Some(spawn_caught(scope, cfg_chain));
+            } else {
+                cfg_chain();
             }
-            if let Some(x) = lst {
-                if self.lst.set(x).is_ok() {
-                    self.n_lst.fetch_add(1, Ordering::Relaxed);
-                }
+            let _ = self.reaching();
+            let _ = self.pdg_with(threads, || {
+                rx.recv().unwrap_or_else(|_| {
+                    // The helper dropped its sender unsent: it panicked.
+                    if let Some(h) = helper.take() {
+                        join_caught("cfg_chain", h);
+                    }
+                    unreachable!("the CFG-only chain sends control dependence or panics")
+                })
+            });
+            if closure {
+                let _ = self.closure_index();
             }
-
-            // The chain index reads only pdom + LST (+ structure), both
-            // installed above: overlap it with the PDG merge and the
-            // condensation.
-            let chain = (self.chain_index.get().is_none())
-                .then(|| spawn_caught(scope, || ChainIndex::build(self)));
-
-            if let Some(control) = control {
-                let _t = obs::phase(obs::Phase::PdgBuild);
-                let mut deps: Vec<Vec<StmtId>> = Vec::with_capacity(n);
-                for part in parts {
-                    deps.extend(part);
-                }
-                let data = DataDeps::from_deps(deps);
-                let pdg = Pdg::from_parts(data, control);
-                if self.pdg.set(pdg).is_ok() {
-                    self.n_pdg.fetch_add(1, Ordering::Relaxed);
-                }
+            if let Some(h) = helper {
+                join_caught("cfg_chain", h);
             }
-
-            if self.closure_index.get().is_none() {
-                let ci = ClosureIndex::build(self.pdg.get().expect("pdg installed above"));
-                if self.closure_index.set(ci).is_ok() {
-                    self.n_closure.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-
-            if let Some(h) = chain {
-                let ci = join_caught("chain_index", h);
-                if self.chain_index.set(ci).is_ok() {
-                    self.n_chain.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        });
-        obs::record(|| obs::Event::Count {
-            name: "analysis.parallel.threads",
-            value: threads as u64,
         });
     }
 
@@ -853,74 +837,86 @@ mod tests {
         assert_eq!(a.stats().chain_index_builds, 1);
     }
 
+    /// The lazy PDG derives its control half from the cached postdominator
+    /// tree instead of computing a private one.
+    #[test]
+    fn pdg_shares_the_cached_postdominator_tree() {
+        let p = crate::corpus::fig3();
+        let a = Analysis::new(&p);
+        let _ = a.pdg();
+        let (_, events) = obs::capture(|| {
+            let _ = a.pdom();
+        });
+        assert_eq!(
+            events,
+            vec![obs::Event::Cache {
+                artifact: obs::Artifact::Pdom,
+                hit: true
+            }],
+            "pdom is a cache hit after pdg()"
+        );
+        assert_eq!(a.stats().pdom_builds, 1);
+    }
+
+    /// Every artifact built exactly once, the closure index included.
+    const ALL_ONCE: AnalysisStats = AnalysisStats {
+        reaching_defs: 1,
+        pdg_builds: 1,
+        pdom_builds: 1,
+        lst_builds: 1,
+        chain_index_builds: 1,
+        closure_index_builds: 1,
+    };
+
     /// The phase-DAG scheduler is deterministic: the artifacts it installs
-    /// are bit-identical to the sequential path under 1, 2, and 4 threads,
-    /// and every slicer sees the same slices.
+    /// are bit-identical to `warm()` + `closure_index()` under 1, 2, and 4
+    /// threads, and every slicer sees the same closures and slices — on
+    /// every corpus program plus a generated structured and unstructured
+    /// one.
     #[test]
     fn warm_parallel_is_deterministic_across_thread_counts() {
-        let p = parse(
-            "sum = 0;
-             positives = 0;
-             L3: if (eof()) goto L14;
-             read(x);
-             if (x > 0) goto L8;
-             sum = sum + f1(x);
-             goto L13;
-             L8: positives = positives + 1;
-             if (x % 2 != 0) goto L12;
-             sum = sum + f2(x);
-             goto L13;
-             L12: sum = sum + f3(x);
-             L13: goto L3;
-             L14: write(sum);
-             write(positives);",
-        )
-        .unwrap();
-        let seq = Analysis::new(&p);
-        seq.warm_parallel(1);
-        for threads in [2usize, 4] {
-            let par = Analysis::new(&p);
-            par.warm_parallel(threads);
-            for s in p.stmt_ids() {
-                assert_eq!(
-                    par.pdg().data().deps(s),
-                    seq.pdg().data().deps(s),
-                    "data deps at line {} under {threads} threads",
-                    p.line_of(s)
+        use jumpslice_progen::{gen_structured, gen_unstructured, GenConfig};
+        let mut progs: Vec<(&str, jumpslice_lang::Program)> = crate::corpus::all()
+            .into_iter()
+            .map(|(name, p, _)| (name, p))
+            .collect();
+        progs.push(("structured", gen_structured(&GenConfig::sized(7, 150))));
+        progs.push(("unstructured", gen_unstructured(&GenConfig::sized(7, 150))));
+        for (name, p) in &progs {
+            let answers = |a: &Analysis<'_>| -> Vec<(StmtSet, StmtSet, StmtSet)> {
+                p.stmt_ids()
+                    .map(|s| {
+                        let slice = crate::agrawal_slice(a, &crate::Criterion::at_stmt(s));
+                        (a.backward_closure([s]), a.forward_closure([s]), slice.stmts)
+                    })
+                    .collect()
+            };
+            let seq = Analysis::new(p);
+            seq.warm();
+            let _ = seq.closure_index();
+            assert_eq!(seq.stats(), ALL_ONCE, "{name}: sequential warm");
+            let want = answers(&seq);
+            let want_bytes = crate::encode_snapshot("", p, &seq.into_seed());
+            for threads in [1usize, 2, 4] {
+                let par = Analysis::new(p);
+                par.warm_parallel(threads);
+                assert_eq!(par.stats(), ALL_ONCE, "{name} under {threads} threads");
+                assert!(
+                    answers(&par) == want,
+                    "{name}: closures and figure-7 slices under {threads} threads"
                 );
-                assert_eq!(
-                    par.pdg().control().deps(s),
-                    seq.pdg().control().deps(s),
-                    "control deps at line {} under {threads} threads",
-                    p.line_of(s)
-                );
-                assert_eq!(par.backward_closure([s]), seq.backward_closure([s]));
-                assert_eq!(par.forward_closure([s]), seq.forward_closure([s]));
-                let c = crate::Criterion::at_stmt(s);
-                assert_eq!(
-                    crate::agrawal_slice(&par, &c).stmts,
-                    crate::agrawal_slice(&seq, &c).stmts,
-                    "figure-7 slice at line {} under {threads} threads",
-                    p.line_of(s)
+                assert!(
+                    crate::encode_snapshot("", p, &par.into_seed()) == want_bytes,
+                    "{name}: artifacts bit-identical under {threads} threads"
                 );
             }
-            assert_eq!(
-                par.stats(),
-                AnalysisStats {
-                    reaching_defs: 1,
-                    pdg_builds: 1,
-                    pdom_builds: 1,
-                    lst_builds: 1,
-                    chain_index_builds: 1,
-                    closure_index_builds: 1,
-                },
-                "every artifact built exactly once under {threads} threads"
-            );
         }
     }
 
     /// A second parallel warm on an already-warm analysis schedules
-    /// nothing, and a partially warm analysis only fills the gaps.
+    /// nothing, and a partially warm analysis only fills the gaps — both
+    /// after lazy use and in the state serve sees after an insert/delete
+    /// edit (reaching, PDG and pdom seeded; LST and chain index missing).
     #[test]
     fn warm_parallel_is_idempotent_and_completes_partial_warmth() {
         let p = parse("read(c); while (c) { read(c); } write(c);").unwrap();
@@ -929,17 +925,25 @@ mod tests {
         let _ = a.lst();
         a.warm_parallel(4);
         a.warm_parallel(4);
-        assert_eq!(
-            a.stats(),
-            AnalysisStats {
-                reaching_defs: 1,
-                pdg_builds: 1,
-                pdom_builds: 1,
-                lst_builds: 1,
-                chain_index_builds: 1,
-                closure_index_builds: 1,
-            }
-        );
+        assert_eq!(a.stats(), ALL_ONCE);
+
+        let mut seed = a.into_seed();
+        seed.lst = None;
+        seed.chain_index = None;
+        for threads in [1usize, 2, 4] {
+            let a = Analysis::with_seed(&p, seed.clone());
+            a.warm_parallel(threads);
+            assert_eq!(
+                a.stats(),
+                AnalysisStats {
+                    lst_builds: 1,
+                    chain_index_builds: 1,
+                    closure_index_builds: 1,
+                    ..AnalysisStats::default()
+                },
+                "only the missing artifacts are built under {threads} threads"
+            );
+        }
     }
 
     /// A panicking phase worker is re-raised on the coordinator with the

@@ -299,18 +299,6 @@ pub fn agrawal_slice_traced(a: &Analysis<'_>, crit: &Criterion) -> (Slice, Prove
     (slice, prov)
 }
 
-/// [`agrawal_slice_traced`] through the dense round-based loop
-/// ([`crate::agrawal_slice_reference`]) instead of the sparse kernel. The
-/// differential harness's `sparse` mode holds the two traced slicers
-/// against each other statement-by-statement.
-pub fn agrawal_slice_traced_reference(a: &Analysis<'_>, crit: &Criterion) -> (Slice, Provenance) {
-    let order = a.jumps_in_pdom_preorder();
-    let mut rec = Recorder::new(a.prog().len());
-    let slice = crate::agrawal::figure7_reference(a, crit, &order, Some(&mut rec));
-    let prov = rec.finish(crit);
-    (slice, prov)
-}
-
 impl Slice {
     /// Provenance for this slice, re-derived by the traced Figure-7 slicer.
     ///

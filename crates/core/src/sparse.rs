@@ -909,7 +909,8 @@ pub(crate) fn figure7_sparse(
 mod tests {
     use super::*;
     use crate::agrawal::figure7_reference;
-    use crate::{agrawal_slice, agrawal_slice_reference, corpus};
+    use crate::reference::agrawal_slice_reference;
+    use crate::{agrawal_slice, corpus};
     use jumpslice_lang::parse;
 
     /// Chain probes answer exactly like the tree walks they replace, at

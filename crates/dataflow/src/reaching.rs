@@ -137,22 +137,7 @@ impl ReachingDefs {
     pub fn compute(prog: &Program, cfg: &Cfg) -> ReachingDefs {
         let gk = GenKill::of(prog, cfg);
         let in_sets = vec![BitSet::new(gk.def_sites.len()); cfg.graph().len()];
-        Self::solve(cfg, gk, in_sets, "reaching.fixpoint_passes")
-    }
-
-    /// Re-solves the fixpoint for an edited program, warm-started from the
-    /// previous solution. See [`ReachingDefs::compute_seeded_tracked`] for
-    /// the parameters; this variant discards the change tracking.
-    pub fn compute_seeded(
-        prog: &Program,
-        cfg: &Cfg,
-        old_cfg: &Cfg,
-        old: &ReachingDefs,
-        fwd: &[Option<StmtId>],
-        dirty_vars: &[Name],
-        dirty_from: Option<NodeId>,
-    ) -> ReachingDefs {
-        Self::compute_seeded_tracked(prog, cfg, old_cfg, old, fwd, dirty_vars, dirty_from).0
+        Self::solve(cfg, gk, in_sets, "reaching.fixpoint_passes").0
     }
 
     /// Re-solves the fixpoint for an edited program, warm-started from the
@@ -268,7 +253,7 @@ impl ReachingDefs {
             name: "reaching.seeded_bits",
             value: seeded_bits,
         });
-        let (rd, mut in_changed) = Self::solve_tracked(cfg, gk, in_sets, "reaching.seeded_passes");
+        let (rd, mut in_changed) = Self::solve(cfg, gk, in_sets, "reaching.seeded_passes");
         let mut has_old = vec![false; n];
         for &new_stmt in fwd.iter().flatten() {
             has_old[cfg.node(new_stmt).index()] = true;
@@ -280,15 +265,10 @@ impl ReachingDefs {
     }
 
     /// Chaotic iteration to the least fixpoint from `in_sets` (which must
-    /// be at or below it). Out-sets are derived from the seed via the
-    /// transfer function, preserving the invariant.
-    fn solve(cfg: &Cfg, gk: GenKill, in_sets: Vec<BitSet>, counter: &'static str) -> ReachingDefs {
-        Self::solve_tracked(cfg, gk, in_sets, counter).0
-    }
-
-    /// [`ReachingDefs::solve`], additionally reporting per node whether its
-    /// IN set at the fixpoint differs from the seed it started from.
-    fn solve_tracked(
+    /// be at or below it), reporting per node whether its IN set at the
+    /// fixpoint differs from the seed it started from. Out-sets are derived
+    /// from the seed via the transfer function, preserving the invariant.
+    fn solve(
         cfg: &Cfg,
         gk: GenKill,
         mut in_sets: Vec<BitSet>,
@@ -428,28 +408,7 @@ impl DataDeps {
 
     /// Derives the edges from a precomputed [`ReachingDefs`].
     pub fn from_reaching(prog: &Program, cfg: &Cfg, rd: &ReachingDefs) -> DataDeps {
-        let n = prog.len();
-        let mut deps = vec![Vec::new(); n];
-        let mut dependents = vec![Vec::new(); n];
-        for u in prog.stmt_ids() {
-            let used = prog.uses(u);
-            if used.is_empty() {
-                continue;
-            }
-            let node = cfg.node(u);
-            for d in rd.reaching_in(node) {
-                let v = prog.defs(d).expect("def site");
-                if used.contains(&v) {
-                    deps[u.index()].push(d);
-                    dependents[d.index()].push(u);
-                }
-            }
-        }
-        for v in deps.iter_mut().chain(dependents.iter_mut()) {
-            v.sort();
-            v.dedup();
-        }
-        DataDeps { deps, dependents }
+        Self::from_deps(Self::deps_of_range(prog, cfg, rd, 0, prog.len()))
     }
 
     /// The forward half of [`DataDeps::from_reaching`] restricted to
@@ -466,25 +425,9 @@ impl DataDeps {
         lo: usize,
         hi: usize,
     ) -> Vec<Vec<StmtId>> {
-        let mut deps = vec![Vec::new(); hi - lo];
-        for i in lo..hi {
-            let u = StmtId::from_index(i);
-            let used = prog.uses(u);
-            if used.is_empty() {
-                continue;
-            }
-            let node = cfg.node(u);
-            let list = &mut deps[i - lo];
-            for d in rd.reaching_in(node) {
-                let v = prog.defs(d).expect("def site");
-                if used.contains(&v) {
-                    list.push(d);
-                }
-            }
-            list.sort();
-            list.dedup();
-        }
-        deps
+        (lo..hi)
+            .map(|i| deps_of(prog, cfg, rd, StmtId::from_index(i)))
+            .collect()
     }
 
     /// Rebuilds the edge set from the forward direction only, deriving the
@@ -600,43 +543,20 @@ impl DataDeps {
 
         let mut repointed = 0;
         for u in prog.stmt_ids() {
-            if carried[u.index()] {
-                continue;
-            }
-            let used = prog.uses(u);
-            if used.is_empty() {
-                continue;
-            }
-            repointed += 1;
-            let mut fresh = Vec::new();
-            for d in rd.reaching_in(cfg.node(u)) {
-                let v = prog.defs(d).expect("def site");
-                if used.contains(&v) {
-                    fresh.push(d);
-                }
-            }
-            fresh.sort();
-            fresh.dedup();
-            deps[u.index()] = fresh;
-        }
-
-        let mut dependents: Vec<Vec<StmtId>> = vec![Vec::new(); n];
-        for (u, ds) in deps.iter().enumerate() {
-            for &d in ds {
-                dependents[d.index()].push(StmtId::from_index(u));
+            if !carried[u.index()] && !prog.uses(u).is_empty() {
+                repointed += 1;
+                deps[u.index()] = deps_of(prog, cfg, rd, u);
             }
         }
-        for v in dependents.iter_mut() {
-            v.sort();
-            v.dedup();
-        }
-        (DataDeps { deps, dependents }, repointed)
+        (DataDeps::from_deps(deps), repointed)
     }
 
     /// Recomputes the *incoming* edges of `u` from `rd` and replaces the
-    /// stored ones, fixing the inverse index. This is the data-dependence
-    /// patch for an edit that changes only the uses of one statement (an
-    /// expression replacement): every other statement's edges are untouched.
+    /// stored ones, fixing the inverse index in place (only the lists of
+    /// `u`'s old and new definitions change, so no full rebuild). This is
+    /// the data-dependence patch for an edit that changes only the uses of
+    /// one statement (an expression replacement): every other statement's
+    /// edges are untouched.
     /// Returns the number of edges now pointing into `u`.
     pub fn repoint_uses(
         &mut self,
@@ -648,28 +568,34 @@ impl DataDeps {
         for &d in &self.deps[u.index()] {
             self.dependents[d.index()].retain(|&x| x != u);
         }
-        let used = prog.uses(u);
-        let mut new_deps = Vec::new();
-        if !used.is_empty() {
-            for d in rd.reaching_in(cfg.node(u)) {
-                let v = prog.defs(d).expect("def site");
-                if used.contains(&v) {
-                    new_deps.push(d);
-                }
-            }
-        }
-        new_deps.sort();
-        new_deps.dedup();
+        let new_deps = deps_of(prog, cfg, rd, u);
         for &d in &new_deps {
             let inv = &mut self.dependents[d.index()];
-            inv.push(u);
-            inv.sort();
-            inv.dedup();
+            if let Err(at) = inv.binary_search(&u) {
+                inv.insert(at, u);
+            }
         }
         let n = new_deps.len();
         self.deps[u.index()] = new_deps;
         n
     }
+}
+
+/// The definitions statement `u` depends on under `rd`: every reaching
+/// definition of a variable `u` uses, sorted and deduplicated. The one
+/// place reaching definitions turn into data-dependence edges.
+fn deps_of(prog: &Program, cfg: &Cfg, rd: &ReachingDefs, u: StmtId) -> Vec<StmtId> {
+    let used = prog.uses(u);
+    if used.is_empty() {
+        return Vec::new();
+    }
+    let mut deps: Vec<StmtId> = rd
+        .reaching_in(cfg.node(u))
+        .filter(|&d| used.contains(&prog.defs(d).expect("def site")))
+        .collect();
+    deps.sort();
+    deps.dedup();
+    deps
 }
 
 #[cfg(test)]
@@ -822,7 +748,15 @@ mod tests {
         // A deletion needs no dirty variables: the deleted site drops out of
         // the translation, and surviving reaches only grow.
         let fwd = vec![Some(new.at_line(1)), None, Some(new.at_line(2))];
-        let warm = ReachingDefs::compute_seeded(&new, &new_cfg, &old_cfg, &old_rd, &fwd, &[], None);
+        let (warm, _) = ReachingDefs::compute_seeded_tracked(
+            &new,
+            &new_cfg,
+            &old_cfg,
+            &old_rd,
+            &fwd,
+            &[],
+            None,
+        );
         let dd = DataDeps::from_reaching(&new, &new_cfg, &warm);
         let lines: Vec<usize> = dd
             .deps(new.at_line(2))

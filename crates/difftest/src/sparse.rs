@@ -12,10 +12,8 @@
 
 use crate::harness::{pick_criteria, DiffConfig, Family};
 use crate::shrink::{is_valid_candidate, shrink};
-use jumpslice_core::{
-    agrawal_slice, agrawal_slice_reference, agrawal_slice_traced, agrawal_slice_traced_reference,
-    Analysis, Criterion,
-};
+use jumpslice_core::reference::{agrawal_slice_reference, agrawal_slice_traced_reference};
+use jumpslice_core::{agrawal_slice, agrawal_slice_traced, Analysis, Criterion};
 use jumpslice_lang::{print_program, Program};
 
 /// Knobs for one sparse-vs-dense differential session.

@@ -14,10 +14,8 @@
 //!   loop.
 
 use jumpslice::prelude::*;
-use jumpslice_core::{
-    agrawal_slice_reference, agrawal_slice_traced_reference, agrawal_slice_with_order, BatchSlicer,
-    SliceFn,
-};
+use jumpslice_core::reference::{agrawal_slice_reference, agrawal_slice_traced_reference};
+use jumpslice_core::{agrawal_slice_with_order, BatchSlicer, SliceFn};
 use jumpslice_dataflow::StmtSet;
 use jumpslice_testkit::Rng;
 use std::collections::BTreeSet;
