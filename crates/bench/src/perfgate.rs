@@ -45,8 +45,8 @@ const STORE_GATED_METRICS: &[&str] = &["snapshot_restore_ns"];
 const COLD_GATED_METRICS: &[&str] = &["cold_warm_sequential_ns", "cold_warm_parallel_ns"];
 
 /// Metrics compared per closure-microsweep row. `direct_closure_ns`
-/// measures the walk the condensation exists to beat (and the fallback
-/// kept for index-free analyses), so only the condensed path is gated.
+/// measures the raw PDG walk, the oracle the closure engine exists to
+/// beat, so only the engine's path is gated.
 const CLOSURE_GATED_METRICS: &[&str] = &["condensed_closure_ns"];
 
 /// Row keys naming the worker-thread count a sweep actually ran with, plus

@@ -90,7 +90,6 @@ pub(crate) fn figure7_reference(
             None => a.backward_closure(crit.seeds(a)),
         }
     };
-    let mut work = Vec::new();
     let mut traversals = 0usize;
     let mut round: u32 = 0;
     loop {
@@ -129,11 +128,11 @@ pub(crate) fn figure7_reference(
                     // The in-place closure treats statements already in the
                     // slice as visited: sound, because the slice is closed
                     // under dependence at every point of the traversal —
-                    // the same invariant that lets the condensed engine
-                    // answer this as a bitset union.
+                    // the same invariant that lets the closure engine skip
+                    // every component already in the slice.
                     match rec.as_deref_mut() {
                         Some(r) => r.jump_closure(a, j, round, npd, nls, !disagree, &mut stmts),
-                        None => a.backward_closure_into_closed([j], &mut stmts, &mut work),
+                        None => a.closure_index().backward_closure_into([j], &mut stmts),
                     }
                     admitted += 1;
                 }

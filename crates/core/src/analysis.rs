@@ -30,7 +30,8 @@ pub struct AnalysisStats {
     pub lst_builds: usize,
     /// Times the sparse kernel's jump-chain index was built.
     pub chain_index_builds: usize,
-    /// Times the SCC-condensed closure index was built.
+    /// Times this analysis condensed its PDG into the closure engine (0
+    /// when the engine came with a seeded PDG).
     pub closure_index_builds: usize,
 }
 
@@ -43,7 +44,8 @@ pub struct AnalysisStats {
 /// valid is moved into the next `Analysis` instead of being recomputed.
 ///
 /// Every field is optional; a missing artifact is simply computed lazily as
-/// usual. **Contract:** artifacts injected via `with_seed` must be correct
+/// usual. The PDG carries its closure engine, memoized closures included.
+/// **Contract:** artifacts injected via `with_seed` must be correct
 /// for the program being analyzed — the seed is trusted, and a stale
 /// artifact produces wrong slices, not a panic. The differential harness's
 /// `incr` mode exists to enforce exactly this.
@@ -118,11 +120,8 @@ pub struct Analysis<'p> {
     lst: OnceLock<LexSuccTree>,
     reaching: OnceLock<ReachingDefs>,
     chain_index: OnceLock<ChainIndex>,
-    /// SCC-condensed closure engine over the PDG. Deliberately *not* part
-    /// of [`AnalysisSeed`]: a stale index silently answers closures for
-    /// the pre-edit dependence graph, and the condensation is cheap
-    /// relative to the artifacts it is derived from.
-    closure_index: OnceLock<ClosureIndex>,
+    /// Whether the seeded PDG already carried its closure engine.
+    seeded_closure: bool,
     /// Per-do-while body sets (`dowhile_bodies[d]` = statements lexically
     /// inside the do-while `d`), built on first hazard probe.
     dowhile_bodies: OnceLock<Vec<StmtSet>>,
@@ -131,7 +130,6 @@ pub struct Analysis<'p> {
     n_pdom: AtomicUsize,
     n_lst: AtomicUsize,
     n_chain: AtomicUsize,
-    n_closure: AtomicUsize,
 }
 
 impl<'p> Analysis<'p> {
@@ -181,14 +179,16 @@ impl<'p> Analysis<'p> {
             lst: OnceLock::new(),
             reaching: OnceLock::new(),
             chain_index: OnceLock::new(),
-            closure_index: OnceLock::new(),
+            seeded_closure: seed
+                .pdg
+                .as_ref()
+                .is_some_and(|p| p.built_closure_index().is_some()),
             dowhile_bodies: OnceLock::new(),
             n_reaching: AtomicUsize::new(0),
             n_pdg: AtomicUsize::new(0),
             n_pdom: AtomicUsize::new(0),
             n_lst: AtomicUsize::new(0),
             n_chain: AtomicUsize::new(0),
-            n_closure: AtomicUsize::new(0),
         };
         if let Some(x) = seed.pdom {
             let _ = a.pdom.set(x);
@@ -340,77 +340,25 @@ impl<'p> Analysis<'p> {
         })
     }
 
-    /// The SCC-condensed closure index (computed on first use; forces the
-    /// PDG).
+    /// The PDG's closure engine (forces the PDG; condensed on first use).
     ///
     /// Unlike the paper artifacts above, this is a pure acceleration
-    /// structure: it emits no cache hit/miss events (the exact cache
-    /// traces the observability tests pin enumerate paper artifacts only)
-    /// and is never carried across edits in an [`AnalysisSeed`]. Once
-    /// built, every closure routed through [`Analysis::backward_closure`]
-    /// and friends is answered from the condensation.
+    /// structure: it has no cache hit/miss event of its own (the exact
+    /// cache traces the observability tests pin enumerate paper artifacts
+    /// only). It rides the PDG, so a seeded PDG brings its engine and
+    /// memos along.
     pub fn closure_index(&self) -> &ClosureIndex {
-        self.closure_index.get_or_init(|| {
-            self.n_closure.fetch_add(1, Ordering::Relaxed);
-            ClosureIndex::build(self.pdg())
-        })
+        self.pdg().closure_index()
     }
 
-    /// [`Pdg::backward_closure`] answered from the condensed index when
-    /// one has been built ([`Analysis::warm_parallel`] or
-    /// [`Analysis::closure_index`]) and from the direct edge walk
-    /// otherwise. The answers are identical.
+    /// [`Pdg::backward_closure`], answered by the closure engine.
     pub fn backward_closure(&self, seeds: impl IntoIterator<Item = StmtId>) -> StmtSet {
-        match self.closure_index.get() {
-            Some(ci) => ci.backward_closure(seeds),
-            None => self.pdg().backward_closure(seeds),
-        }
+        self.closure_index().backward_closure(seeds)
     }
 
-    /// [`Pdg::forward_closure`] routed like [`Analysis::backward_closure`].
+    /// [`Pdg::forward_closure`], answered by the closure engine.
     pub fn forward_closure(&self, seeds: impl IntoIterator<Item = StmtId>) -> StmtSet {
-        match self.closure_index.get() {
-            Some(ci) => ci.forward_closure(seeds),
-            None => self.pdg().forward_closure(seeds),
-        }
-    }
-
-    /// [`Pdg::backward_closure_into_with_scratch`] routed through the
-    /// condensed index when built. **Contract:** `slice` must be empty or
-    /// closed under dependence — the condensed path unions the seeds'
-    /// full closures, which matches the direct walk's visited-mark
-    /// semantics only on closed targets (every fixpoint call site
-    /// qualifies; see `jumpslice_pdg::closure`).
-    pub(crate) fn backward_closure_into_closed(
-        &self,
-        seeds: impl IntoIterator<Item = StmtId>,
-        slice: &mut StmtSet,
-        work: &mut Vec<StmtId>,
-    ) {
-        match self.closure_index.get() {
-            Some(ci) => ci.backward_closure_into(seeds, slice),
-            None => self
-                .pdg()
-                .backward_closure_into_with_scratch(seeds, slice, work),
-        }
-    }
-
-    /// [`Pdg::backward_closure_delta`] under the same closed-target
-    /// contract as [`Analysis::backward_closure_into_closed`]. The direct
-    /// walk appends the delta in DFS pop order, the condensed path in
-    /// ascending statement order; the sparse kernel consumes deltas only
-    /// through set unions and counts, so the two are interchangeable.
-    pub(crate) fn backward_closure_delta_closed(
-        &self,
-        seeds: impl IntoIterator<Item = StmtId>,
-        slice: &mut StmtSet,
-        work: &mut Vec<StmtId>,
-        delta: &mut Vec<StmtId>,
-    ) {
-        match self.closure_index.get() {
-            Some(ci) => ci.backward_closure_delta(seeds, slice, delta),
-            None => self.pdg().backward_closure_delta(seeds, slice, work, delta),
-        }
+        self.closure_index().forward_closure(seeds)
     }
 
     /// The set of statements lexically inside do-while `d` (empty for any
@@ -452,7 +400,7 @@ impl<'p> Analysis<'p> {
             pdom_builds: self.n_pdom.load(Ordering::Relaxed),
             lst_builds: self.n_lst.load(Ordering::Relaxed),
             chain_index_builds: self.n_chain.load(Ordering::Relaxed),
-            closure_index_builds: self.n_closure.load(Ordering::Relaxed),
+            closure_index_builds: usize::from(!self.seeded_closure && self.has_closure_index()),
         }
     }
 
@@ -460,24 +408,14 @@ impl<'p> Analysis<'p> {
     /// fanning out so worker threads share fully materialized state instead
     /// of racing to initialize it (the `OnceLock`s make such races safe,
     /// merely wasteful). Runs the [`Analysis::warm_parallel`] schedule on
-    /// one thread, without the closure index.
+    /// one thread, without the closure engine.
     pub fn warm(&self) {
         if !self.built(false) {
             self.schedule(1, false);
         }
     }
 
-    /// True when every artifact [`Analysis::warm`] computes is already
-    /// cached. The condensed closure index is deliberately excluded: it is
-    /// never restored from a seed (see [`AnalysisSeed`]), so callers that
-    /// re-solve warm seeds per request use this probe to avoid re-paying
-    /// the condensation build on a path where it could not be amortised
-    /// anyway.
-    pub fn is_warm(&self) -> bool {
-        self.built(false)
-    }
-
-    /// [`Analysis::warm`] plus the condensed closure index, scheduled
+    /// [`Analysis::warm`] plus the PDG's closure engine, scheduled
     /// across `threads` scoped worker threads along the real phase DAG:
     ///
     /// - a helper thread runs the CFG-only chain: postdominators, control
@@ -485,7 +423,7 @@ impl<'p> Analysis<'p> {
     /// - meanwhile the coordinator runs the reaching-definitions fixpoint,
     ///   fans data-dependence construction out over statement ranges (see
     ///   [`DataDeps::deps_of_range`]), merges the PDG once the helper hands
-    ///   over control dependence, and condenses it into the closure index.
+    ///   over control dependence, and condenses it into the closure engine.
     ///
     /// Every artifact is built by its own accessor, so the schedule only
     /// decides which thread calls which accessor, and the installed
@@ -512,7 +450,7 @@ impl<'p> Analysis<'p> {
         });
     }
 
-    /// Whether every [`Analysis::warm`] artifact — plus the closure index
+    /// Whether every [`Analysis::warm`] artifact — plus the closure engine
     /// when `closure` — is cached.
     fn built(&self, closure: bool) -> bool {
         self.reaching.get().is_some()
@@ -520,7 +458,13 @@ impl<'p> Analysis<'p> {
             && self.pdom.get().is_some()
             && self.lst.get().is_some()
             && self.chain_index.get().is_some()
-            && (!closure || self.closure_index.get().is_some())
+            && (!closure || self.has_closure_index())
+    }
+
+    fn has_closure_index(&self) -> bool {
+        self.pdg
+            .get()
+            .is_some_and(|p| p.built_closure_index().is_some())
     }
 
     /// The phase DAG behind [`Analysis::warm`] and
@@ -858,7 +802,7 @@ mod tests {
         assert_eq!(a.stats().pdom_builds, 1);
     }
 
-    /// Every artifact built exactly once, the closure index included.
+    /// Every artifact built exactly once, the closure engine included.
     const ALL_ONCE: AnalysisStats = AnalysisStats {
         reaching_defs: 1,
         pdg_builds: 1,
@@ -915,8 +859,9 @@ mod tests {
 
     /// A second parallel warm on an already-warm analysis schedules
     /// nothing, and a partially warm analysis only fills the gaps — both
-    /// after lazy use and in the state serve sees after an insert/delete
-    /// edit (reaching, PDG and pdom seeded; LST and chain index missing).
+    /// after lazy use and with reaching, PDG and pdom seeded but LST and
+    /// chain index missing. The seeded PDG comes from a warm analysis, so
+    /// it brings its closure engine and nothing condenses it again.
     #[test]
     fn warm_parallel_is_idempotent_and_completes_partial_warmth() {
         let p = parse("read(c); while (c) { read(c); } write(c);").unwrap();
@@ -938,11 +883,14 @@ mod tests {
                 AnalysisStats {
                     lst_builds: 1,
                     chain_index_builds: 1,
-                    closure_index_builds: 1,
                     ..AnalysisStats::default()
                 },
                 "only the missing artifacts are built under {threads} threads"
             );
+            for s in p.stmt_ids() {
+                assert_eq!(a.backward_closure([s]), a.pdg().backward_closure([s]));
+                assert_eq!(a.forward_closure([s]), a.pdg().forward_closure([s]));
+            }
         }
     }
 
@@ -963,22 +911,23 @@ mod tests {
         assert!(msg.contains("boom in pdom"), "payload preserved: {msg}");
     }
 
-    /// Once the condensation exists, the routed closure wrappers answer
-    /// from it — and agree with the direct walk bit for bit.
+    /// The closure wrappers answer from the PDG's engine, condensed once,
+    /// and agree with the direct walk bit for bit.
     #[test]
-    fn routed_closures_match_direct_walks() {
+    fn engine_closures_match_direct_walks() {
         let p = parse("read(c); while (c) { read(x); y = x; } write(y); write(c);").unwrap();
         let a = Analysis::new(&p);
-        let direct: Vec<StmtSet> = p
-            .stmt_ids()
-            .map(|s| a.pdg().backward_closure([s]))
-            .collect();
-        let _ = a.closure_index();
-        assert_eq!(a.stats().closure_index_builds, 1);
-        for (i, s) in p.stmt_ids().enumerate() {
-            assert_eq!(a.backward_closure([s]), direct[i]);
+        let _ = a.pdg();
+        assert_eq!(
+            a.stats().closure_index_builds,
+            0,
+            "the PDG alone builds no engine"
+        );
+        for s in p.stmt_ids() {
+            assert_eq!(a.backward_closure([s]), a.pdg().backward_closure([s]));
             assert_eq!(a.forward_closure([s]), a.pdg().forward_closure([s]));
         }
+        assert_eq!(a.stats().closure_index_builds, 1);
     }
 
     #[test]

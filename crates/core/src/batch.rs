@@ -11,10 +11,11 @@
 //! Figure-7 kernel's chain index rides the same cache: `warm()` (which the
 //! pool calls before spawning workers) forces it once, and every worker
 //! probes the one shared copy, while each worker's per-slice scratch
-//! (worklists, delta buffers, jump ranks) lives in a thread-local pool so
-//! steady-state admissions allocate nothing. Each worker allocates its own
-//! slice bitsets, so there is no cross-thread contention beyond the work
-//! counter.
+//! (dirty-jump worklists, delta buffers, jump ranks) lives in a
+//! thread-local pool. Each worker allocates its own slice bitsets. The
+//! PDG's closure engine is shared too: each per-component memo is filled
+//! once, by whichever worker asks for it first, and a worker only ever
+//! waits on a memo it needs that another worker is filling.
 //!
 //! Results come back in criterion order and are bit-for-bit identical to a
 //! sequential loop (each slicer is a pure function of the analysis and its
@@ -279,8 +280,8 @@ impl<'a, 'p> BatchSlicer<'a, 'p> {
         // Force every lazy artifact up front so workers never race to
         // initialize one (OnceLock would serialize them on first touch).
         // The warm itself runs on the phase-DAG schedule across the same
-        // thread budget, and additionally condenses the PDG so every
-        // worker's closures become bitset unions.
+        // thread budget, and additionally builds the PDG's closure engine,
+        // whose per-component memos the workers then fill as they go.
         a.warm_parallel(threads);
 
         let next = AtomicUsize::new(0);
@@ -444,6 +445,24 @@ mod tests {
         // Every worker of both runs probed the one shared index that
         // `warm()` forced up front.
         assert_eq!(a.stats().chain_index_builds, 1);
+    }
+
+    /// Four workers filling the closure engine's memos at once slice
+    /// exactly like one thread on a separate analysis.
+    #[test]
+    fn concurrent_memo_fills_match_one_thread() {
+        use jumpslice_progen::{gen_unstructured, GenConfig};
+        let p = gen_unstructured(&GenConfig::sized(11, 300));
+        let criteria: Vec<Criterion> = p.stmt_ids().map(Criterion::at_stmt).collect();
+        for algo in [agrawal_slice as SliceFn, conventional_slice] {
+            let one = BatchSlicer::new(&Analysis::new(&p))
+                .with_threads(1)
+                .slice_all(algo, &criteria);
+            let four = BatchSlicer::new(&Analysis::new(&p))
+                .with_threads(4)
+                .slice_all(algo, &criteria);
+            assert_eq!(four, one);
+        }
     }
 
     #[test]

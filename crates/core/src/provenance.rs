@@ -226,8 +226,8 @@ impl Recorder {
 
     /// [`Recorder::jump_closure`] that additionally appends every newly
     /// inserted statement to `delta` — the traced twin of
-    /// `Pdg::backward_closure_delta`, feeding the sparse kernel's dirty-jump
-    /// index.
+    /// `ClosureIndex::backward_closure_delta`, feeding the sparse kernel's
+    /// dirty-jump index.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn jump_closure_delta(
         &mut self,
@@ -356,7 +356,7 @@ mod tests {
     #[test]
     fn traced_slices_bypass_the_condensation_and_stay_valid() {
         // The provenance contract: the recorder walks raw PDG edges itself,
-        // so forcing the SCC-condensed closure index must change nothing —
+        // so building the PDG's closure engine must change nothing —
         // not the slice, not any per-statement reason — and every witness
         // chain must still follow real dependence edges to a root.
         for (p, line) in [
@@ -365,7 +365,7 @@ mod tests {
             (corpus::fig10(), 9),
         ] {
             let a = Analysis::new(&p);
-            a.closure_index(); // every routed closure now answers condensed
+            a.closure_index(); // the engine exists before any traced slice
             let crit = Criterion::at_stmt(p.at_line(line));
             let plain = agrawal_slice(&a, &crit);
             let (traced, prov) = agrawal_slice_traced(&a, &crit);
@@ -373,9 +373,10 @@ mod tests {
             assert_eq!(plain.traversals, traced.traversals);
             assert_eq!(plain.moved_labels, traced.moved_labels);
 
-            // Bit-identical to a condensation-free analysis.
+            // Bit-identical to an analysis that never builds the engine.
             let b = Analysis::new(&p);
             let (ref_traced, ref_prov) = agrawal_slice_traced(&b, &crit);
+            assert_eq!(b.stats().closure_index_builds, 0);
             assert_eq!(traced.stmts, ref_traced.stmts);
             for s in p.stmt_ids() {
                 assert_eq!(prov.why(s), ref_prov.why(s), "reason for {s:?}");

@@ -24,9 +24,9 @@
 //!   only re-tests the *dirty* jumps — those whose chains intersect the
 //!   delta of statements admitted since their last test — in the same
 //!   visit-order rank. Deltas flow out of the dependence closures
-//!   (`Pdg::backward_closure_delta`), and a dirty jump discovered at a rank
-//!   the current round already passed is deferred to the next round,
-//!   exactly when the dense loop would re-test it. Admission order, rounds,
+//!   (`ClosureIndex::backward_closure_delta`), and a dirty jump discovered
+//!   at a rank the current round already passed is deferred to the next
+//!   round, exactly when the dense loop would re-test it. Admission order, rounds,
 //!   emitted events, provenance, `traversals`: all bit-identical.
 //!
 //! Complexity: O(admissions × affected-jumps) probe work instead of
@@ -624,11 +624,10 @@ fn chain_mask(
     }
 }
 
-/// Per-thread reusable buffers: the closure work/delta vectors and the
-/// dirty-rank worklists. Pooled so the batch engine's workers run the whole
-/// fixpoint allocation-free after the first criterion.
+/// Per-thread reusable buffers: the closure delta vector and the
+/// dirty-rank worklists. Pooled so the batch engine's workers keep the
+/// kernel's own bookkeeping allocation-free after the first criterion.
 struct Scratch {
-    work: Vec<StmtId>,
     delta: Vec<StmtId>,
     rank_of: Vec<u32>,
     cur: BitSet,
@@ -638,7 +637,6 @@ struct Scratch {
 impl Default for Scratch {
     fn default() -> Scratch {
         Scratch {
-            work: Vec::new(),
             delta: Vec::new(),
             rank_of: Vec::new(),
             cur: BitSet::new(0),
@@ -682,7 +680,6 @@ pub(crate) fn figure7_sparse(
 ) -> Slice {
     let scratch = SCRATCH.with(|s| s.take());
     let Scratch {
-        mut work,
         mut delta,
         mut rank_of,
         mut cur,
@@ -693,13 +690,7 @@ pub(crate) fn figure7_sparse(
         let _t = obs::phase(obs::Phase::ConventionalClosure);
         match rec.as_deref_mut() {
             Some(r) => r.seed_closure(a, crit),
-            None => {
-                let mut s = StmtSet::with_capacity(a.prog().len());
-                // An empty target is trivially dependence-closed, so the
-                // routed (possibly condensed) closure applies.
-                a.backward_closure_into_closed(crit.seeds(a), &mut s, &mut work);
-                s
-            }
+            None => a.backward_closure(crit.seeds(a)),
         }
     };
 
@@ -814,13 +805,12 @@ pub(crate) fn figure7_sparse(
                             ),
                             // The slice is closed under dependence at every
                             // admission (same invariant as the dense loop),
-                            // so the routed delta closure applies; the
-                            // condensed path reports the delta in ascending
-                            // order, which the masked unions below absorb.
-                            None => a.backward_closure_delta_closed(
+                            // so the engine's layered delta applies; its
+                            // delta order differs from the direct walk's,
+                            // which the masked unions below absorb.
+                            None => a.closure_index().backward_closure_delta(
                                 [j],
                                 &mut stmts,
-                                &mut work,
                                 &mut delta,
                             ),
                         }
@@ -890,7 +880,6 @@ pub(crate) fn figure7_sparse(
 
     SCRATCH.with(|s| {
         *s.borrow_mut() = Scratch {
-            work,
             delta,
             rank_of,
             cur,

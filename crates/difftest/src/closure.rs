@@ -1,37 +1,40 @@
-//! The condensed-vs-direct closure differential mode (`difftest --mode
-//! closure`).
+//! The closure-engine differential mode (`difftest --mode closure`).
 //!
-//! `jumpslice_core::Analysis` answers dependence closures two ways: a
-//! direct worklist walk over the PDG, and — once
-//! `Analysis::closure_index` has been forced — a lookup into the
-//! SCC-condensed reachability index. The two must be observably
-//! identical: same closure sets, same slices from every registered
-//! slicer (statements, traversal counts, moved labels), same chops, and
-//! identical traced provenance (the recorder bypasses the condensation
-//! by contract, walking raw PDG edges; this mode proves the bypass holds
-//! and that every witness chain still ends at a root).
+//! `jumpslice_core::Analysis` answers every dependence closure through the
+//! PDG's demand-driven closure engine, whose work depends on which
+//! per-component memos happen to exist. This mode holds the engine against
+//! two oracles that never touch it:
 //!
-//! Two sweeps per seed. The *cold* sweep compares a plain analysis
-//! against a second analysis of the same program with the condensation
-//! forced up front. The *edit* sweep drives a
-//! [`jumpslice_incr::EditSession`] through a random edit script and,
-//! after every accepted edit, forces the condensation on the session's
-//! (selectively patched) analysis and holds it against a cold direct
-//! analysis — a stale index surviving a re-solve would surface here.
-//! Mismatches are minimized like the incremental mode's: greedy edit
-//! drops, then the shared statement shrinker.
+//! * the raw PDG walk: `Pdg::backward_closure` / `forward_closure` for
+//!   fresh closures and chops, and `Pdg::backward_closure_into` onto the
+//!   same dependence-closed slice for layered queries (the calls Figure 7
+//!   makes for admitted jumps, deltas included);
+//! * the traced recorder behind `agrawal_slice_traced`, which runs Figure 7
+//!   walking PDG edges itself: its slice must equal `agrawal_slice`'s, and
+//!   every witness chain must end at a root.
+//!
+//! Each program is checked in three memo states: a fresh analysis with no
+//! memos, an analysis whose memos were filled in reverse order (every other
+//! statement's closures, then the criteria's slices),
+//! and — in the edit sweep — a [`jumpslice_incr::EditSession`] that sliced
+//! before each edit, so the engine and its memos ride the seed into the
+//! edit (a stale engine surviving an edit would surface here). Every
+//! registered slicer and executable chop must also agree across the memo
+//! states. Mismatches are minimized like the incremental mode's: greedy
+//! edit drops, then the shared statement shrinker.
 
 use crate::harness::{pick_criteria, DiffConfig, Family};
 use crate::shrink::{is_valid_candidate, shrink};
 use crate::ALGOS;
 use jumpslice_core::{
-    agrawal_slice_traced, chop, chop_executable, Analysis, BatchSlicer, Criterion, Why,
+    agrawal_slice, agrawal_slice_traced, chop, chop_executable, Analysis, BatchSlicer, Criterion,
+    Slice, Why,
 };
 use jumpslice_incr::{random_edit, Edit, EditSession};
-use jumpslice_lang::{print_program, Program};
+use jumpslice_lang::{print_program, Program, StmtId};
 use jumpslice_testkit::Rng;
 
-/// Knobs for one condensed-vs-direct differential session.
+/// Knobs for one closure-engine differential session.
 #[derive(Clone, Debug)]
 pub struct ClosureConfig {
     /// First seed (inclusive).
@@ -98,7 +101,7 @@ impl ClosureConfig {
     }
 }
 
-/// One condensed-vs-direct violation, minimized when enabled.
+/// One engine-vs-oracle violation, minimized when enabled.
 #[derive(Clone, Debug)]
 pub struct ClosureFinding {
     /// Seed of the generating draw.
@@ -114,151 +117,104 @@ pub struct ClosureFinding {
     pub script: Vec<Edit>,
 }
 
-/// Aggregate statistics of one condensed-vs-direct session.
+/// Aggregate statistics of one closure-engine differential session.
 #[derive(Clone, Debug, Default)]
 pub struct ClosureReport {
     /// Programs swept (one per seed × family).
     pub programs: usize,
-    /// Program states compared: the cold state plus one per accepted edit.
+    /// Program states compared: the cold state, the edit session's
+    /// starting state, and one per accepted edit.
     pub states: usize,
     /// Edits accepted across all edit sweeps.
     pub edits_applied: usize,
     /// Individual equality checks executed (closure sets, slices, chops,
     /// per-statement provenance).
     pub comparisons: usize,
-    /// Confirmed condensed-vs-direct mismatches.
+    /// Confirmed engine-vs-oracle mismatches.
     pub findings: Vec<ClosureFinding>,
 }
 
-/// Compares `direct` (condensation never forced) against `cond`
-/// (condensation forced by the caller) on `p`: raw closures, chops, all
-/// eight slicers, and traced provenance. Returns the comparison count or
-/// the first mismatch.
-fn compare_analyses(
-    p: &Program,
-    direct: &Analysis<'_>,
-    cond: &Analysis<'_>,
-    max_criteria: usize,
-) -> Result<usize, String> {
-    let stmts = pick_criteria(p, direct, max_criteria);
-    if stmts.is_empty() {
-        return Ok(0);
-    }
-    let criteria: Vec<Criterion> = stmts.iter().copied().map(Criterion::at_stmt).collect();
+/// Holds `a`'s closure engine against the raw PDG walk and the traced
+/// recorder on the criteria `stmts`. Returns the comparison count or the
+/// first mismatch.
+fn check_engine(p: &Program, a: &Analysis<'_>, stmts: &[StmtId]) -> Result<usize, String> {
+    let pdg = a.pdg();
     let mut comparisons = 0;
 
-    // Raw backward/forward closures, statement by statement. The direct
-    // side walks the PDG explicitly so it can never fall through to a
-    // condensation the batch engine might have built behind our back.
-    for &c in &stmts {
+    // Fresh closures, statement by statement.
+    for &c in stmts {
         let line = p.line_of(c);
         comparisons += 2;
-        if direct.pdg().backward_closure([c]) != cond.backward_closure([c]) {
+        if a.backward_closure([c]) != pdg.backward_closure([c]) {
             return Err(format!(
-                "backward closure at line {line}: condensed ≠ direct"
+                "backward closure at line {line}: engine ≠ PDG walk"
             ));
         }
-        if direct.pdg().forward_closure([c]) != cond.forward_closure([c]) {
-            return Err(format!(
-                "forward closure at line {line}: condensed ≠ direct"
-            ));
+        if a.forward_closure([c]) != pdg.forward_closure([c]) {
+            return Err(format!("forward closure at line {line}: engine ≠ PDG walk"));
         }
     }
 
-    // Chops (plain and executable) between consecutive criteria.
+    // Layered queries: every live unconditional jump onto every criterion's
+    // (dependence-closed) closure, with the delta the sparse kernel reads.
+    let jumps = a.jumps_in_pdom_preorder();
+    for &c in stmts {
+        let base = pdg.backward_closure([c]);
+        for &j in jumps.iter().filter(|&&j| !base.contains(j)) {
+            let at = format!("jump line {} onto line {}", p.line_of(j), p.line_of(c));
+            let mut want = base.clone();
+            pdg.backward_closure_into([j], &mut want);
+            let mut got = base.clone();
+            let mut delta = Vec::new();
+            a.closure_index()
+                .backward_closure_delta([j], &mut got, &mut delta);
+            comparisons += 2;
+            if got != want {
+                return Err(format!("layered closure of {at}: engine ≠ PDG walk"));
+            }
+            delta.sort_unstable();
+            if !delta
+                .iter()
+                .copied()
+                .eq(want.iter().filter(|&s| !base.contains(s)))
+            {
+                return Err(format!(
+                    "layered delta of {at}: not exactly the new statements"
+                ));
+            }
+        }
+    }
+
+    // Chops between consecutive criteria.
     for w in stmts.windows(2) {
         let (src, sink) = (w[0], w[1]);
-        let at = format!("lines {}→{}", p.line_of(src), p.line_of(sink));
-        comparisons += 2;
-        if chop(direct, src, sink).stmts != chop(cond, src, sink).stmts {
-            return Err(format!("chop {at}: condensed ≠ direct"));
-        }
-        let (d, c) = (
-            chop_executable(direct, src, sink),
-            chop_executable(cond, src, sink),
-        );
-        if d.stmts != c.stmts || d.moved_labels != c.moved_labels {
-            return Err(format!("executable chop {at}: condensed ≠ direct"));
-        }
-    }
-
-    // Every registered slicer, through the sequential batch engine so a
-    // deterministic slicer panic is a verdict, not a crash.
-    let db = BatchSlicer::new(direct).with_threads(1);
-    let cb = BatchSlicer::new(cond).with_threads(1);
-    for algo in ALGOS {
-        match (
-            db.try_slice_all(algo.f, &criteria),
-            cb.try_slice_all(algo.f, &criteria),
-        ) {
-            (Ok(d), Ok(c)) => {
-                for (i, (ds, cs)) in d.iter().zip(&c).enumerate() {
-                    comparisons += 1;
-                    if ds.stmts != cs.stmts
-                        || ds.traversals != cs.traversals
-                        || ds.moved_labels != cs.moved_labels
-                    {
-                        return Err(format!(
-                            "{} at line {}: condensed {} stmts vs direct {} stmts \
-                             (traversals {} vs {})",
-                            algo.name,
-                            p.line_of(stmts[i]),
-                            cs.len(),
-                            ds.len(),
-                            cs.traversals,
-                            ds.traversals
-                        ));
-                    }
-                }
-            }
-            // A deterministic panic in both worlds is the projection
-            // fuzzer's finding, not a condensation bug.
-            (Err(_), Err(_)) => {}
-            (Ok(_), Err(_)) => {
-                return Err(format!("{}: panics only with the condensation", algo.name));
-            }
-            (Err(_), Ok(_)) => {
-                return Err(format!(
-                    "{}: panics only without the condensation",
-                    algo.name
-                ));
-            }
-        }
-    }
-
-    // Traced provenance with the condensation enabled: the recorder must
-    // bypass the index (it walks PDG edges itself), so the slice, every
-    // per-statement reason, and every chain root must match the direct
-    // world exactly.
-    for &c in &stmts {
-        let line = p.line_of(c);
-        let crit = Criterion::at_stmt(c);
-        let (ds, dp) = agrawal_slice_traced(direct, &crit);
-        let (cs, cp) = agrawal_slice_traced(cond, &crit);
         comparisons += 1;
-        if ds != cs {
+        let want = pdg
+            .forward_closure([src])
+            .intersection(&pdg.backward_closure([sink]));
+        if chop(a, src, sink).stmts != want {
             return Err(format!(
-                "criterion line {line}: traced slice differs under condensation"
+                "chop lines {}→{}: engine ≠ PDG walk",
+                p.line_of(src),
+                p.line_of(sink)
             ));
         }
-        for s in p.stmt_ids() {
-            comparisons += 1;
-            if dp.why(s) != cp.why(s) {
-                return Err(format!(
-                    "criterion line {line}: provenance for line {} differs \
-                     (condensed {:?} vs direct {:?})",
-                    p.line_of(s),
-                    cp.why(s),
-                    dp.why(s)
-                ));
-            }
+    }
+
+    // Figure 7 through the engine vs the recorder's own PDG walk.
+    for &c in stmts {
+        let line = p.line_of(c);
+        let crit = Criterion::at_stmt(c);
+        let (traced, prov) = agrawal_slice_traced(a, &crit);
+        comparisons += 1;
+        if agrawal_slice(a, &crit) != traced {
+            return Err(format!("criterion line {line}: figure 7 ≠ traced figure 7"));
         }
-        for s in cs.stmts.iter() {
+        for s in traced.stmts.iter() {
             comparisons += 1;
-            let chain = cp.chain(s).ok_or_else(|| {
+            let chain = prov.chain(s).ok_or_else(|| {
                 format!(
-                    "criterion line {line}: sliced line {} has no witness chain \
-                     under condensation",
+                    "criterion line {line}: sliced line {} has no witness chain",
                     p.line_of(s)
                 )
             })?;
@@ -275,29 +231,125 @@ fn compare_analyses(
     Ok(comparisons)
 }
 
-/// The cold sweep: two fresh analyses of `p`, condensation forced on one.
-fn cold_sweep(p: &Program, max_criteria: usize) -> Result<usize, String> {
-    let direct = Analysis::new(p);
-    let cond = Analysis::new(p);
-    // Force the condensation before any closure is asked for: every
-    // routed closure on `cond` now answers from the index.
-    cond.closure_index();
-    compare_analyses(p, &direct, &cond, max_criteria)
+/// Every registered slicer's answers (`None` for a deterministic panic)
+/// plus the executable chops between consecutive criteria.
+type Answers = (Vec<Option<Vec<Slice>>>, Vec<Slice>);
+
+/// Computes [`Answers`] on `a`, through the sequential batch engine so a
+/// slicer panic is a value, not a crash.
+fn answers(a: &Analysis<'_>, stmts: &[StmtId]) -> Answers {
+    let criteria: Vec<Criterion> = stmts.iter().copied().map(Criterion::at_stmt).collect();
+    let batch = BatchSlicer::new(a).with_threads(1);
+    let slices = ALGOS
+        .iter()
+        .map(|algo| batch.try_slice_all(algo.f, &criteria).ok())
+        .collect();
+    let chops = stmts
+        .windows(2)
+        .map(|w| chop_executable(a, w[0], w[1]))
+        .collect();
+    (slices, chops)
 }
 
-/// One edit-state comparison: force the condensation on the session's
-/// selectively-patched analysis, hold it against a cold direct analysis.
+/// Compares two memo states' [`Answers`]; returns the comparison count or
+/// the first difference.
+fn compare_answers(
+    p: &Program,
+    stmts: &[StmtId],
+    (want, want_chops): &Answers,
+    (got, got_chops): &Answers,
+    state: &str,
+) -> Result<usize, String> {
+    let mut comparisons = 0;
+    for ((algo, w), g) in ALGOS.iter().zip(want).zip(got) {
+        match (w, g) {
+            (Some(w), Some(g)) => {
+                for ((ws, gs), &c) in w.iter().zip(g).zip(stmts) {
+                    comparisons += 1;
+                    if ws != gs {
+                        return Err(format!(
+                            "{} at line {}: {state} {} stmts vs fresh {} stmts \
+                             (traversals {} vs {})",
+                            algo.name,
+                            p.line_of(c),
+                            gs.len(),
+                            ws.len(),
+                            gs.traversals,
+                            ws.traversals
+                        ));
+                    }
+                }
+            }
+            // A deterministic panic in both states is the projection
+            // fuzzer's finding, not an engine bug.
+            (None, None) => {}
+            _ => {
+                return Err(format!(
+                    "{}: panics in only one of {state} and fresh",
+                    algo.name
+                ))
+            }
+        }
+    }
+    for ((w, g), pair) in want_chops.iter().zip(got_chops).zip(stmts.windows(2)) {
+        comparisons += 1;
+        if w != g {
+            return Err(format!(
+                "executable chop lines {}→{}: {state} ≠ fresh",
+                p.line_of(pair[0]),
+                p.line_of(pair[1])
+            ));
+        }
+    }
+    Ok(comparisons)
+}
+
+/// The cold sweep: a fresh analysis of `p` and one whose memos were filled
+/// beforehand in reverse order, each against the oracles and each other.
+fn cold_sweep(p: &Program, max_criteria: usize) -> Result<usize, String> {
+    let fresh = Analysis::new(p);
+    let stmts = pick_criteria(p, &fresh, max_criteria);
+    if stmts.is_empty() {
+        return Ok(0);
+    }
+    let want = answers(&fresh, &stmts);
+    // Memos for every other statement, then the criteria's slices, all in
+    // reverse order: layered walks on `filled` mix memo unions with walking.
+    let filled = Analysis::new(p);
+    for s in (0..p.len()).rev().step_by(2).map(StmtId::from_index) {
+        let _ = filled.backward_closure([s]);
+        let _ = filled.forward_closure([s]);
+    }
+    for &c in stmts.iter().rev() {
+        let _ = agrawal_slice(&filled, &Criterion::at_stmt(c));
+    }
+    let got = answers(&filled, &stmts);
+    Ok(compare_answers(p, &stmts, &want, &got, "memo-filled")?
+        + check_engine(p, &fresh, &stmts)?
+        + check_engine(p, &filled, &stmts)?)
+}
+
+/// One edit-state comparison: the session's analysis — seeded with
+/// whatever the edit left of the engine and its memos — against the
+/// oracles and a fresh analysis. Slicing here also leaves the engine and
+/// its memos in the seed for the next edit.
 fn edit_sweep(session: &mut EditSession, max_criteria: usize) -> Result<usize, String> {
     let p = session.prog().clone();
-    let cold = Analysis::new(&p);
+    let fresh = Analysis::new(&p);
+    let stmts = pick_criteria(&p, &fresh, max_criteria);
+    if stmts.is_empty() {
+        return Ok(0);
+    }
+    let want = answers(&fresh, &stmts);
     session.with_analysis(|a| {
-        a.closure_index();
-        compare_analyses(&p, &cold, a, max_criteria)
+        Ok(check_engine(&p, a, &stmts)?
+            + compare_answers(&p, &stmts, &want, &answers(a, &stmts), "session")?)
     })
 }
 
-/// Replays `script` on a fresh session over `p` (cold sweep first, edit
-/// sweep after each accepted edit). Returns the first mismatch detail.
+/// Replays `script` on a fresh session over `p` (cold sweep first, then an
+/// edit sweep of the starting state and after each accepted edit). Returns
+/// the first mismatch detail.
 fn replay(p: &Program, script: &[Edit], max_criteria: usize) -> Option<String> {
     if !is_valid_candidate(p) {
         return None;
@@ -306,6 +358,9 @@ fn replay(p: &Program, script: &[Edit], max_criteria: usize) -> Option<String> {
         return Some(detail);
     }
     let mut session = EditSession::new(p.clone());
+    if let Err(detail) = edit_sweep(&mut session, max_criteria) {
+        return Some(detail);
+    }
     for edit in script {
         if session.apply(edit).is_err() {
             continue;
@@ -340,7 +395,7 @@ fn shrink_pair(p: &Program, script: &[Edit], max_criteria: usize) -> (Program, V
     (small, cur)
 }
 
-/// Runs the condensed-vs-direct differential session described by `cfg`.
+/// Runs the closure-engine differential session described by `cfg`.
 pub fn run_closuretest(cfg: &ClosureConfig) -> ClosureReport {
     run_closuretest_with(cfg, |_| {})
 }
@@ -376,13 +431,17 @@ pub fn run_closuretest_with(
                 // edit script is reproducible across modes.
                 let mut rng = Rng::seed_from_u64(seed.wrapping_mul(3).wrapping_add(fi as u64));
                 let mut session = EditSession::new(p.clone());
-                for _ in 0..cfg.edits_per_script {
-                    let edit = random_edit(&mut rng, session.prog());
-                    if session.apply(&edit).is_err() {
-                        continue;
+                for k in 0..=cfg.edits_per_script {
+                    // k == 0 sweeps the starting state, so the engine and
+                    // its memos ride the seed into the first edit.
+                    if k > 0 {
+                        let edit = random_edit(&mut rng, session.prog());
+                        if session.apply(&edit).is_err() {
+                            continue;
+                        }
+                        script.push(edit);
+                        report.edits_applied += 1;
                     }
-                    script.push(edit);
-                    report.edits_applied += 1;
                     match edit_sweep(&mut session, cfg.max_criteria) {
                         Ok(n) => {
                             report.states += 1;

@@ -19,11 +19,11 @@
 //! Figure-7 kernel against the retained dense reference loop, demanding
 //! identical slices, traversal counts, moved labels, and traced
 //! provenance on every generated program. A fourth mode
-//! ([`run_closuretest`]) holds the SCC-condensed closure engine against
-//! the direct PDG walk — identical closures, slices, chops, and traced
-//! provenance on every generated program *and* across incremental edit
-//! states, so a condensation staleness bug surviving an `EditSession`
-//! re-solve would be caught.
+//! ([`run_closuretest`]) holds the PDG's closure engine against the raw
+//! PDG walk and the traced Figure-7 recorder — identical closures, layered
+//! closures, chops and slices under different memo states, on every
+//! generated program *and* across incremental edit states, so a stale
+//! engine surviving an `EditSession` edit would be caught.
 //!
 //! In the tradition of differential testing of program analyzers (Chalupa's
 //! cross-checked control-dependence algorithms; SymPas's

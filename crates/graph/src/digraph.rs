@@ -118,12 +118,16 @@ impl DiGraph {
     pub fn from_succs(succs: Vec<Vec<NodeId>>) -> Option<Self> {
         let n = succs.len();
         let mut counts = vec![0usize; n];
+        // `seen[t] == u` marks `t` as already listed by source `u`: a
+        // duplicate check in O(1) per entry, even on long lists.
+        let mut seen = vec![usize::MAX; n];
         let mut num_edges = 0;
-        for list in &succs {
-            for (i, &t) in list.iter().enumerate() {
-                if t.index() >= n || list[..i].contains(&t) {
+        for (u, list) in succs.iter().enumerate() {
+            for &t in list {
+                if t.index() >= n || seen[t.index()] == u {
                     return None;
                 }
+                seen[t.index()] = u;
                 counts[t.index()] += 1;
             }
             num_edges += list.len();
@@ -315,6 +319,32 @@ mod tests {
         let edges: Vec<_> = g.edges().collect();
         assert_eq!(edges.len(), 3);
         assert!(edges.contains(&(NodeId::new(0), NodeId::new(2))));
+    }
+
+    #[test]
+    fn from_succs_matches_add_edge_and_rejects_bad_lists() {
+        let n = 300;
+        // A long list whose only duplicate sits at its two ends.
+        let mut long: Vec<NodeId> = (0..n).rev().map(NodeId::new).collect();
+        let mut lists = vec![long.clone(), vec![NodeId::new(0)], vec![]];
+        lists.resize(n, vec![NodeId::new(1), NodeId::new(n - 1)]);
+        let bulk = DiGraph::from_succs(lists.clone()).expect("duplicate-free lists");
+        let mut g = DiGraph::with_nodes(n);
+        for (u, list) in lists.iter().enumerate() {
+            for &t in list {
+                g.add_edge(NodeId::new(u), t);
+            }
+        }
+        assert_eq!(bulk, g);
+
+        long.push(NodeId::new(n - 1));
+        lists[0] = long;
+        assert!(
+            DiGraph::from_succs(lists.clone()).is_none(),
+            "far-apart duplicate"
+        );
+        lists[0] = vec![NodeId::new(n)];
+        assert!(DiGraph::from_succs(lists).is_none(), "out-of-range target");
     }
 
     #[test]

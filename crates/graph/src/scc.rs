@@ -1,7 +1,7 @@
 //! Tarjan strongly-connected components and graph condensation.
 //!
-//! Used by the program generator to reject accidentally-irreducible loop
-//! soups and by the CFG crate's diagnostics.
+//! The PDG's closure engine condenses the dependence graph with
+//! [`condensation`].
 
 use crate::{DiGraph, NodeId};
 
@@ -80,9 +80,10 @@ pub fn tarjan_scc(g: &DiGraph) -> Vec<Vec<NodeId>> {
 
 /// Builds the condensation (SCC quotient DAG) of `g`.
 ///
-/// Returns the quotient graph together with the component index of every
-/// original node.
-pub fn condensation(g: &DiGraph) -> (DiGraph, Vec<usize>) {
+/// Returns the quotient graph, the component index of every original node,
+/// and each component's members, all in [`tarjan_scc`]'s order: every
+/// quotient edge runs from a larger component id to a smaller one.
+pub fn condensation(g: &DiGraph) -> (DiGraph, Vec<usize>, Vec<Vec<NodeId>>) {
     let sccs = tarjan_scc(g);
     let mut comp_of = vec![0usize; g.len()];
     for (ci, comp) in sccs.iter().enumerate() {
@@ -90,14 +91,27 @@ pub fn condensation(g: &DiGraph) -> (DiGraph, Vec<usize>) {
             comp_of[v.index()] = ci;
         }
     }
-    let mut q = DiGraph::with_nodes(sccs.len());
-    for (a, b) in g.edges() {
-        let (ca, cb) = (comp_of[a.index()], comp_of[b.index()]);
-        if ca != cb {
-            q.add_edge(ca.into(), cb.into());
-        }
-    }
-    (q, comp_of)
+    // `seen[cb] == ca` marks the quotient edge ca -> cb as already listed.
+    let mut seen = vec![usize::MAX; sccs.len()];
+    let succs = sccs
+        .iter()
+        .enumerate()
+        .map(|(ca, comp)| {
+            let mut out = Vec::new();
+            for &v in comp {
+                for &w in g.succs(v) {
+                    let cb = comp_of[w.index()];
+                    if cb != ca && seen[cb] != ca {
+                        seen[cb] = ca;
+                        out.push(NodeId::new(cb));
+                    }
+                }
+            }
+            out
+        })
+        .collect();
+    let q = DiGraph::from_succs(succs).expect("stamped quotient lists are duplicate-free");
+    (q, comp_of, sccs)
 }
 
 #[cfg(test)]
@@ -151,10 +165,14 @@ mod tests {
         for (a, b) in [(0, 1), (1, 2), (2, 1), (2, 3), (3, 4), (4, 3)] {
             g.add_edge(a.into(), b.into());
         }
-        let (q, comp_of) = condensation(&g);
+        let (q, comp_of, members) = condensation(&g);
         assert_eq!(q.len(), 3);
         assert_eq!(comp_of[1], comp_of[2]);
         assert_eq!(comp_of[3], comp_of[4]);
+        assert_eq!(members[comp_of[1]], vec![NodeId::new(1), NodeId::new(2)]);
+        // One quotient edge per pair of components, pointing to smaller ids.
+        assert_eq!(q.num_edges(), 2);
+        assert!(q.edges().all(|(a, b)| a > b));
         // The quotient of SCCs never has nontrivial SCCs.
         let qs = tarjan_scc(&q);
         assert!(qs.iter().all(|c| c.len() == 1));

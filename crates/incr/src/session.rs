@@ -481,6 +481,74 @@ mod tests {
         assert_matches_scratch(&mut s);
     }
 
+    /// Every closure the session's analysis answers equals the raw PDG walk
+    /// on the same PDG, and every Figure-7 slice equals a cold analysis's.
+    /// Slicing leaves the closure engine and its memos in the seed.
+    fn assert_engine_matches_pdg(session: &mut EditSession) {
+        let prog = session.prog().clone();
+        let cold = Analysis::new(&prog);
+        session.with_analysis(|a| {
+            for s in prog.stmt_ids() {
+                let line = prog.line_of(s);
+                assert_eq!(
+                    a.backward_closure([s]),
+                    a.pdg().backward_closure([s]),
+                    "backward closure at line {line}"
+                );
+                assert_eq!(
+                    a.forward_closure([s]),
+                    a.pdg().forward_closure([s]),
+                    "forward closure at line {line}"
+                );
+                let c = Criterion::at_stmt(s);
+                assert_eq!(
+                    agrawal_slice(a, &c),
+                    agrawal_slice(&cold, &c),
+                    "figure 7 at line {line}"
+                );
+            }
+        });
+        let pdg = session.seed().pdg.as_ref().expect("PDG in the seed");
+        assert!(pdg.built_closure_index().is_some(), "engine rides the seed");
+    }
+
+    #[test]
+    fn edits_never_leave_a_stale_closure_engine() {
+        let p = parse("read(a); read(b); x = a; if (x) { y = b; } write(x); write(y);").unwrap();
+        let mut s = EditSession::new(p);
+        assert_engine_matches_pdg(&mut s);
+
+        // `x = a` → `x = b`: patched in place by `repoint_data_uses`.
+        let out = s
+            .apply(&Edit::ReplaceExpr {
+                at: StmtPath::root(2),
+                with: EditExpr::var("b"),
+            })
+            .unwrap();
+        assert_eq!(out.path, ApplyPath::ExprPatch);
+        assert_engine_matches_pdg(&mut s);
+
+        // Insert then delete `a = b`: the seeded re-solve builds a new PDG.
+        let out = s
+            .apply(&Edit::InsertStmt {
+                at: StmtPath::root(2),
+                stmt: NewStmt::Assign {
+                    var: "a".into(),
+                    rhs: EditExpr::var("b"),
+                },
+            })
+            .unwrap();
+        assert_eq!(out.path, ApplyPath::SeededResolve);
+        assert_engine_matches_pdg(&mut s);
+        let out = s
+            .apply(&Edit::DeleteStmt {
+                at: StmtPath::root(2),
+            })
+            .unwrap();
+        assert_eq!(out.path, ApplyPath::SeededResolve);
+        assert_engine_matches_pdg(&mut s);
+    }
+
     #[test]
     fn insert_and_delete_take_the_seeded_path() {
         let p = parse("x = 1; while (x < 9) { x = x + 2; } write(x);").unwrap();

@@ -1,255 +1,277 @@
-//! SCC-condensed transitive-closure engine over the PDG.
+//! The demand-driven closure engine over the PDG.
 //!
-//! Every slicer in the workspace bottoms out in `backward_closure` /
-//! `forward_closure` walks over the dependence edges. Those walks are
-//! O(edges) *per criterion*; a 120-criterion batch sweep re-traverses the
-//! same edges 120 times. This module condenses the PDG once with
-//! [`tarjan_scc`], precomputes the full reachability set of every strongly
-//! connected component as a dense [`StmtSet`] (word-parallel unions in
-//! reverse-topological order), and then answers any closure query as a
-//! component lookup plus a bitset union — O(components × words) shared work
-//! up front, O(seeds × words) per query after.
+//! Every slicer in the workspace bottoms out in the transitive closure of
+//! data ∪ control dependence. This module condenses the dependence graph
+//! once — [`condensation`] over Tarjan's components, O(V + E) — and
+//! precomputes no closure set. Closures are answered over the component
+//! DAG instead:
+//!
+//! * A **fresh** closure (criterion seeds, chops, forward slices) unions
+//!   the seeds' components' full closures. Each is memoized in a
+//!   per-component [`OnceLock`] the first time that component seeds one.
+//! * A **layered** query onto a dependence-closed slice (Figure 7's
+//!   admitted jumps, the sparse kernel's deltas) walks the component DAG
+//!   from the seeds, skipping every component already in the slice — a
+//!   closed slice already holds its closure — and unioning a memoized
+//!   closure where one exists instead of walking below it.
+//!
+//! The engine belongs to its [`Pdg`] (see [`Pdg::closure_index`]) and
+//! travels with it, memos included, through analysis seeds, edit sessions
+//! and the daemon's cache. The one in-place PDG edit,
+//! [`Pdg::repoint_data_uses`], drops it.
 //!
 //! # Equivalence contract
 //!
-//! For a query over `seeds` into an **empty** target set, the condensed
-//! answer is exactly the direct walk's answer: the transitive closure of
-//! data ∪ control dependence from the seeds (seeds included).
+//! A fresh closure equals [`Pdg::backward_closure`] /
+//! [`Pdg::forward_closure`] exactly. A layered query equals
+//! [`Pdg::backward_closure_into`] when the target set is **closed under
+//! dependence** — true at every call site (the Figure-7 fixpoint only ever
+//! layers admission closures onto a union of closures; see the invariant
+//! note in `core/src/agrawal.rs`). The delta form reports the new
+//! statements component by component rather than in the direct walk's pop
+//! order; the sparse Figure-7 kernel consumes deltas only through set
+//! unions and counts, so slices, traversal counts and moved labels are
+//! unchanged (`difftest --mode closure` pins this).
 //!
-//! For the layered forms (`*_into`, `*_delta`) the direct walk treats
-//! statements already in the target as visited marks — it never explores
-//! *their* dependences. The condensed engine instead unions the seeds' full
-//! closures into the target. The two agree exactly when the pre-existing
-//! target is already **closed under dependence**, which holds at every call
-//! site the workspace routes here: the Figure-7 fixpoint only ever layers
-//! admission closures onto a slice that is a union of closures (see the
-//! invariant note in `core/src/agrawal.rs`). Callers layering onto a
-//! non-closed set must use the direct walk.
+//! # Concurrency
 //!
-//! Delta order: the direct walk reports newly inserted statements in DFS
-//! pop order; the condensed engine reports them in ascending statement
-//! order. The sparse Figure-7 kernel consumes deltas only through set
-//! unions and net-insertion counts, so the resulting slices, traversal
-//! counts, and moved labels are bit-identical (`difftest --mode closure`
-//! pins this over random corpora and edit states).
+//! Queries take `&self`, so batch workers share one engine. A memo's
+//! initializer reads other components' memos only through
+//! [`OnceLock::get`], never `get_or_init`, so filling one memo never waits
+//! on another and workers filling memos at the same time cannot deadlock.
 
 use crate::Pdg;
 use jumpslice_dataflow::StmtSet;
-use jumpslice_graph::{tarjan_scc, DiGraph, NodeId};
+use jumpslice_graph::{condensation, DiGraph, NodeId};
 use jumpslice_lang::StmtId;
 use jumpslice_obs as obs;
+use std::sync::OnceLock;
 
-/// Precomputed per-component reachability over a PDG's dependence edges.
+/// The condensed dependence graph of one PDG plus its memoized closures.
 ///
-/// Immutable once built; queries take `&self`, so a single index can be
-/// shared across batch worker threads exactly like the PDG itself.
+/// Every table is one flat allocation (a `Rows`), and each direction's memo
+/// slots are allocated on that direction's first query, so the engine adds
+/// tens of bytes per component to each PDG it rides on rather than several
+/// allocations per component.
 #[derive(Clone, Debug)]
 pub struct ClosureIndex {
-    /// Statement index → component id (Tarjan emission order: a
-    /// component's dependence successors all have *smaller* ids).
+    /// Statement index → component id.
     comp_of: Vec<u32>,
-    /// Per component: the full backward closure (the component's members
-    /// plus everything they transitively depend on).
-    backward: Vec<StmtSet>,
-    /// Per component: the full forward closure (members plus everything
-    /// transitively dependent on them).
-    forward: Vec<StmtSet>,
-    /// Dense statement-id bound (capacity of every set above).
-    num_stmts: usize,
+    /// Member statements of each component, ascending.
+    members: Rows,
+    /// The component DAG: the components each component directly depends
+    /// on ...
+    succs: Rows,
+    /// ... and the components directly depending on it.
+    preds: Rows,
+    /// Per component, once asked for: the full backward closure.
+    backward: OnceLock<Box<[OnceLock<StmtSet>]>>,
+    /// Per component, once asked for: the full forward closure.
+    forward: OnceLock<Box<[OnceLock<StmtSet>]>>,
 }
 
-/// Merges two sorted, deduplicated id lists into one (sorted, deduplicated).
-fn merge_sorted(a: &[StmtId], b: &[StmtId], out: &mut Vec<NodeId>) {
-    out.clear();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        let next = match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                i += 1;
-                a[i - 1]
-            }
-            std::cmp::Ordering::Greater => {
-                j += 1;
-                b[j - 1]
-            }
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-                a[i - 1]
-            }
-        };
-        out.push(NodeId::new(next.index()));
+/// A table of `u32` rows in one buffer: row `i` is
+/// `items[start[i]..start[i + 1]]`.
+#[derive(Clone, Debug)]
+struct Rows {
+    start: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Rows {
+    fn new<'a>(rows: impl Iterator<Item = &'a [NodeId]>) -> Rows {
+        let mut start = vec![0];
+        let mut items = Vec::new();
+        for row in rows {
+            // `NodeId` indices are `u32`s already.
+            items.extend(row.iter().map(|v| v.index() as u32));
+            start.push(u32::try_from(items.len()).expect("a table holds fewer than 2^32 items"));
+        }
+        Rows { start, items }
     }
-    out.extend(a[i..].iter().map(|s| NodeId::new(s.index())));
-    out.extend(b[j..].iter().map(|s| NodeId::new(s.index())));
+
+    fn row(&self, i: usize) -> &[u32] {
+        &self.items[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+}
+
+/// Which way a closure follows the dependence edges.
+#[derive(Clone, Copy)]
+enum Dir {
+    /// Toward what a statement depends on.
+    Backward,
+    /// Toward what depends on a statement.
+    Forward,
 }
 
 impl ClosureIndex {
-    /// Condenses `pdg` and precomputes both reachability directions.
+    /// Condenses `pdg`'s dependence graph; no closure is computed yet.
     ///
     /// Emits a [`Phase::ClosureIndexBuild`](obs::Phase::ClosureIndexBuild)
     /// timer and a `closure.condensed.components` count on the caller's
     /// trace sink.
-    pub fn build(pdg: &Pdg) -> ClosureIndex {
+    pub(crate) fn build(pdg: &Pdg) -> ClosureIndex {
         let _t = obs::phase(obs::Phase::ClosureIndexBuild);
         let n = pdg.control().num_stmts();
 
         // The dependence graph: statement u → each statement it directly
-        // depends on (data then control, merged). Both inputs are sorted,
-        // so a linear merge keeps `from_succs`'s no-duplicates contract.
-        let mut succs: Vec<Vec<NodeId>> = Vec::with_capacity(n);
-        let mut merged = Vec::new();
-        for u in 0..n {
-            let s = StmtId::from_index(u);
-            merge_sorted(pdg.data().deps(s), pdg.control().deps(s), &mut merged);
-            succs.push(merged.clone());
-        }
-        let g = DiGraph::from_succs(succs).expect("merged dependence lists are duplicate-free");
-
-        // Tarjan emits components in reverse topological order: everything
-        // a component can reach (its dependence successors) is emitted
-        // before it.
-        let sccs = tarjan_scc(&g);
-        let k = sccs.len();
-        let mut comp_of = vec![0u32; n];
-        for (c, members) in sccs.iter().enumerate() {
-            for &m in members {
-                comp_of[m.index()] = c as u32;
-            }
-        }
-
-        // Unique successor components (dependencies) per component; by the
-        // emission order these all have smaller ids than the component.
-        let mut succ_comps: Vec<Vec<u32>> = vec![Vec::new(); k];
-        // And the transpose: predecessor components, all with larger ids.
-        let mut pred_comps: Vec<Vec<u32>> = vec![Vec::new(); k];
-        for (c, members) in sccs.iter().enumerate() {
-            let cs = &mut succ_comps[c];
-            for &m in members {
-                for &d in g.succs(m) {
-                    let dc = comp_of[d.index()];
-                    if dc as usize != c {
-                        cs.push(dc);
-                    }
-                }
-            }
-            cs.sort_unstable();
-            cs.dedup();
-            for &dc in cs.iter() {
-                pred_comps[dc as usize].push(c as u32);
-            }
-        }
-
-        // Backward reachability, in emission order: a component's closure
-        // is its members plus the (already-final) closures of its
-        // dependence successors. Equal capacities keep every union on the
-        // word-parallel path.
-        let mut backward: Vec<StmtSet> = Vec::with_capacity(k);
-        for (c, members) in sccs.iter().enumerate() {
-            let mut set = StmtSet::with_capacity(n);
-            for &m in members {
-                set.insert(StmtId::from_index(m.index()));
-            }
-            for &dc in &succ_comps[c] {
-                set.union_with(&backward[dc as usize]);
-            }
-            backward.push(set);
-        }
-
-        // Forward reachability, in reversed emission (= topological) order:
-        // a component's forward set is its members plus the forward sets of
-        // its predecessor components, all of which have larger ids and are
-        // already final.
-        let mut forward: Vec<StmtSet> = (0..k).map(|_| StmtSet::with_capacity(n)).collect();
-        for (c, members) in sccs.iter().enumerate().rev() {
-            let (head, tail) = forward.split_at_mut(c + 1);
-            let set = &mut head[c];
-            for &m in members {
-                set.insert(StmtId::from_index(m.index()));
-            }
-            for &pc in &pred_comps[c] {
-                set.union_with(&tail[pc as usize - c - 1]);
-            }
-        }
-
+        // depends on.
+        let succs = (0..n)
+            .map(|u| {
+                let deps = pdg.deps(StmtId::from_index(u)).into_iter();
+                deps.map(|s| NodeId::new(s.index())).collect()
+            })
+            .collect();
+        let g = DiGraph::from_succs(succs).expect("`Pdg::deps` lists are duplicate-free");
+        let (dag, comp_of, members) = condensation(&g);
+        let k = members.len();
         obs::record(|| obs::Event::Count {
             name: "closure.condensed.components",
             value: k as u64,
         });
+        let comps = || (0..k).map(NodeId::new);
         ClosureIndex {
-            comp_of,
-            backward,
-            forward,
-            num_stmts: n,
+            // Component ids are below the statement count, a `u32`.
+            comp_of: comp_of.into_iter().map(|c| c as u32).collect(),
+            members: Rows::new(members.iter().map(Vec::as_slice)),
+            succs: Rows::new(comps().map(|c| dag.succs(c))),
+            preds: Rows::new(comps().map(|c| dag.preds(c))),
+            backward: OnceLock::new(),
+            forward: OnceLock::new(),
         }
     }
 
     /// Number of strongly connected components in the dependence graph.
     pub fn num_components(&self) -> usize {
-        self.backward.len()
+        self.members.start.len() - 1
     }
 
-    /// Dense statement-id bound the index was built for.
+    /// Dense statement-id bound the engine was built for.
     pub fn num_stmts(&self) -> usize {
-        self.num_stmts
-    }
-
-    /// The full backward closure of one statement (shared, read-only).
-    pub fn backward_of(&self, s: StmtId) -> &StmtSet {
-        &self.backward[self.comp_of[s.index()] as usize]
-    }
-
-    /// The full forward closure of one statement (shared, read-only).
-    pub fn forward_of(&self, s: StmtId) -> &StmtSet {
-        &self.forward[self.comp_of[s.index()] as usize]
+        self.comp_of.len()
     }
 
     /// The transitive backward closure of `seeds` — equals
-    /// [`Pdg::backward_closure`] exactly.
+    /// [`Pdg::backward_closure`] exactly. Memoizes each seed component's
+    /// closure.
     pub fn backward_closure(&self, seeds: impl IntoIterator<Item = StmtId>) -> StmtSet {
-        let mut slice = StmtSet::with_capacity(self.num_stmts);
-        self.backward_closure_into(seeds, &mut slice);
-        slice
+        self.fresh(Dir::Backward, seeds)
     }
 
-    /// Unions the backward closures of `seeds` into `slice` (not cleared).
-    ///
-    /// Equals [`Pdg::backward_closure_into`] when `slice` is empty or
-    /// closed under dependence (see the module docs).
+    /// The transitive forward closure of `seeds` — equals
+    /// [`Pdg::forward_closure`] exactly. Memoizes each seed component's
+    /// closure.
+    pub fn forward_closure(&self, seeds: impl IntoIterator<Item = StmtId>) -> StmtSet {
+        self.fresh(Dir::Forward, seeds)
+    }
+
+    /// Adds the backward closures of `seeds` to `slice`, which must be
+    /// empty or closed under dependence (see the module docs); it then
+    /// equals [`Pdg::backward_closure_into`].
     pub fn backward_closure_into(
         &self,
         seeds: impl IntoIterator<Item = StmtId>,
         slice: &mut StmtSet,
     ) {
-        for s in seeds {
-            slice.union_with(self.backward_of(s));
-        }
+        self.walk(Dir::Backward, seeds, slice, None);
     }
 
     /// [`ClosureIndex::backward_closure_into`] additionally appending every
-    /// newly inserted statement to `delta` (not cleared), in ascending
-    /// statement order.
+    /// newly inserted statement to `delta` (not cleared).
     pub fn backward_closure_delta(
         &self,
         seeds: impl IntoIterator<Item = StmtId>,
         slice: &mut StmtSet,
         delta: &mut Vec<StmtId>,
     ) {
-        for s in seeds {
-            let b = self.backward_of(s);
-            push_new_bits(b, slice, delta);
-            slice.union_with(b);
-        }
+        self.walk(Dir::Backward, seeds, slice, Some(delta));
     }
 
-    /// The transitive forward closure of `seeds` — equals
-    /// [`Pdg::forward_closure`] exactly.
-    pub fn forward_closure(&self, seeds: impl IntoIterator<Item = StmtId>) -> StmtSet {
-        let mut slice = StmtSet::with_capacity(self.num_stmts);
+    /// The union of the seeds' memoized closures. A seed already in the
+    /// result is skipped: the result is a union of closures, so it holds
+    /// that seed's closure too.
+    fn fresh(&self, dir: Dir, seeds: impl IntoIterator<Item = StmtId>) -> StmtSet {
+        let mut out = StmtSet::with_capacity(self.num_stmts());
         for s in seeds {
-            slice.union_with(self.forward_of(s));
+            if !out.contains(s) {
+                out.union_with(self.memo(dir, self.comp_of[s.index()] as usize));
+            }
         }
-        slice
+        out
+    }
+
+    /// Component `c`'s full closure in `dir`, computed on first use.
+    fn memo(&self, dir: Dir, c: usize) -> &StmtSet {
+        self.memos(dir)[c].get_or_init(|| {
+            let mut set = StmtSet::with_capacity(self.num_stmts());
+            self.walk_from(dir, vec![c], &mut set, None);
+            set
+        })
+    }
+
+    fn memos(&self, dir: Dir) -> &[OnceLock<StmtSet>] {
+        let slots = match dir {
+            Dir::Backward => &self.backward,
+            Dir::Forward => &self.forward,
+        };
+        slots.get_or_init(|| {
+            (0..self.num_components())
+                .map(|_| OnceLock::new())
+                .collect()
+        })
+    }
+
+    fn walk(
+        &self,
+        dir: Dir,
+        seeds: impl IntoIterator<Item = StmtId>,
+        slice: &mut StmtSet,
+        delta: Option<&mut Vec<StmtId>>,
+    ) {
+        let work = seeds
+            .into_iter()
+            .map(|s| self.comp_of[s.index()] as usize)
+            .collect();
+        self.walk_from(dir, work, slice, delta);
+    }
+
+    /// Adds the closures of the components on `work` to the closed set
+    /// `slice`. A component with a member in `slice` is skipped: either
+    /// `slice` held it closed beforehand, or a memo union or this walk
+    /// already added it. Reads memos with `get` only (see the module docs).
+    fn walk_from(
+        &self,
+        dir: Dir,
+        mut work: Vec<usize>,
+        slice: &mut StmtSet,
+        mut delta: Option<&mut Vec<StmtId>>,
+    ) {
+        let memos = self.memos(dir);
+        while let Some(c) = work.pop() {
+            let members = self.members.row(c);
+            if slice.contains(StmtId::from_index(members[0] as usize)) {
+                continue;
+            }
+            if let Some(closure) = memos[c].get() {
+                if let Some(d) = delta.as_deref_mut() {
+                    push_new_bits(closure, slice, d);
+                }
+                slice.union_with(closure);
+                continue;
+            }
+            for &m in members {
+                let s = StmtId::from_index(m as usize);
+                slice.insert(s);
+                if let Some(d) = delta.as_deref_mut() {
+                    d.push(s);
+                }
+            }
+            let next = match dir {
+                Dir::Backward => self.succs.row(c),
+                Dir::Forward => self.preds.row(c),
+            };
+            work.extend(next.iter().map(|&d| d as usize));
+        }
     }
 }
 
@@ -329,25 +351,29 @@ mod tests {
     }
 
     #[test]
-    fn delta_reports_exactly_the_new_statements_ascending() {
+    fn delta_reports_exactly_the_new_statements() {
         let (p, pdg) = index_of("read(c); while (c) { read(x); y = x; } write(y); write(c);");
         let idx = ClosureIndex::build(&pdg);
-        let mut slice = pdg.backward_closure([p.at_line(6)]);
-        let before = slice.clone();
-        let mut delta = Vec::new();
-        idx.backward_closure_delta([p.at_line(5)], &mut slice, &mut delta);
-        assert_eq!(slice, pdg.backward_closure([p.at_line(5), p.at_line(6)]));
-        for w in delta.windows(2) {
-            assert!(w[0] < w[1], "delta ascending and duplicate-free");
-        }
-        let delta_set: StmtSet = delta.iter().copied().collect();
-        for s in p.stmt_ids() {
-            assert_eq!(
-                delta_set.contains(s),
-                slice.contains(s) && !before.contains(s),
-                "delta == newly inserted, at line {}",
-                p.line_of(s)
-            );
+        // Walked, then again with the jump's component memoized.
+        for memoized in [false, true] {
+            if memoized {
+                let _ = idx.backward_closure([p.at_line(5)]);
+            }
+            let mut slice = pdg.backward_closure([p.at_line(6)]);
+            let before = slice.clone();
+            let mut delta = Vec::new();
+            idx.backward_closure_delta([p.at_line(5)], &mut slice, &mut delta);
+            assert_eq!(slice, pdg.backward_closure([p.at_line(5), p.at_line(6)]));
+            let delta_set: StmtSet = delta.iter().copied().collect();
+            assert_eq!(delta_set.len(), delta.len(), "delta duplicate-free");
+            for s in p.stmt_ids() {
+                assert_eq!(
+                    delta_set.contains(s),
+                    slice.contains(s) && !before.contains(s),
+                    "delta == newly inserted, at line {} (memoized: {memoized})",
+                    p.line_of(s)
+                );
+            }
         }
     }
 
@@ -357,9 +383,66 @@ mod tests {
         // data dependences put the body in a cycle with it.
         let (p, pdg) = index_of("read(n); i = 0; while (i < n) { i = i + 1; } write(i);");
         let idx = ClosureIndex::build(&pdg);
-        assert!(idx.num_components() < p.len() + 1 || idx.num_components() <= p.len());
+        let (pred, body) = (p.at_line(3), p.at_line(4));
+        assert_eq!(idx.comp_of[pred.index()], idx.comp_of[body.index()]);
+        assert_eq!(idx.num_components(), p.len() - 1);
         let s = p.at_line(5);
         assert_eq!(idx.backward_closure([s]), pdg.backward_closure([s]));
+    }
+
+    #[test]
+    fn memos_form_only_for_fresh_seeds_and_layered_walks_reuse_them() {
+        let (p, pdg) = index_of("read(c); while (c) { read(x); y = x; } write(y); write(c);");
+        let idx = ClosureIndex::build(&pdg);
+        let built = |memos: &OnceLock<Box<[OnceLock<StmtSet>]>>| {
+            memos
+                .get()
+                .map_or(0, |m| m.iter().filter(|m| m.get().is_some()).count())
+        };
+        assert_eq!(
+            built(&idx.backward) + built(&idx.forward),
+            0,
+            "build computes no closure"
+        );
+
+        // A layered walk onto a closed set memoizes nothing.
+        let mut layered = pdg.backward_closure([p.at_line(6)]);
+        idx.backward_closure_into([p.at_line(5)], &mut layered);
+        assert_eq!(built(&idx.backward), 0);
+
+        // A fresh closure memoizes exactly its seed's component; a later
+        // layered walk that reaches it unions the memo and still agrees.
+        let y = p.at_line(4);
+        assert_eq!(idx.backward_closure([y]), pdg.backward_closure([y]));
+        assert_eq!(built(&idx.backward), 1);
+        let mut direct = pdg.backward_closure([p.at_line(6)]);
+        pdg.backward_closure_into([p.at_line(5)], &mut direct);
+        let mut via_memo = pdg.backward_closure([p.at_line(6)]);
+        idx.backward_closure_into([p.at_line(5)], &mut via_memo);
+        assert_eq!(via_memo, direct);
+        assert_eq!(built(&idx.backward), 1);
+    }
+
+    #[test]
+    fn concurrent_memo_fills_agree_with_the_direct_walk() {
+        let (p, pdg) = index_of(
+            "sum = 0; L3: if (eof()) goto L14; read(x); if (x > 0) goto L8; \
+             sum = sum + x; goto L3; L8: sum = sum - x; goto L3; L14: write(sum);",
+        );
+        let idx = ClosureIndex::build(&pdg);
+        let ids: Vec<StmtId> = p.stmt_ids().collect();
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (idx, pdg, ids) = (&idx, &pdg, &ids);
+                scope.spawn(move || {
+                    // Each thread visits the statements in its own order.
+                    for &s in ids.iter().cycle().skip(t * 3).take(ids.len()) {
+                        assert_eq!(idx.backward_closure([s]), pdg.backward_closure([s]));
+                        assert_eq!(idx.forward_closure([s]), pdg.forward_closure([s]));
+                    }
+                });
+            }
+        });
     }
 
     #[test]

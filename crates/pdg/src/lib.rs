@@ -36,6 +36,7 @@ use jumpslice_cfg::Cfg;
 use jumpslice_dataflow::{DataDeps, ReachingDefs, StmtSet};
 use jumpslice_graph::{DiGraph, DomTree, NodeId};
 use jumpslice_lang::{Program, StmtId};
+use std::sync::OnceLock;
 
 pub mod closure;
 
@@ -267,6 +268,9 @@ impl ControlDeps {
 pub struct Pdg {
     data: DataDeps,
     control: ControlDeps,
+    /// The closure engine over these edges, built on first use. Every
+    /// edge change either builds a new `Pdg` or drops it.
+    closure: OnceLock<ClosureIndex>,
 }
 
 impl Pdg {
@@ -304,7 +308,11 @@ impl Pdg {
             name: "pdg.control_edges",
             value: control.edges().count() as u64,
         });
-        Pdg { data, control }
+        Pdg {
+            data,
+            control,
+            closure: OnceLock::new(),
+        }
     }
 
     /// The data-dependence half.
@@ -317,7 +325,7 @@ impl Pdg {
     /// unchanged flowgraph shape): recomputes `u`'s incoming data edges
     /// from `rd` and leaves every control edge and every other statement's
     /// data edges untouched. Returns the number of data edges now entering
-    /// `u`.
+    /// `u`. Drops the closure engine, which described the old edges.
     pub fn repoint_data_uses(
         &mut self,
         prog: &Program,
@@ -325,6 +333,7 @@ impl Pdg {
         rd: &ReachingDefs,
         u: StmtId,
     ) -> usize {
+        self.closure = OnceLock::new();
         let n = self.data.repoint_uses(prog, cfg, rd, u);
         jumpslice_obs::record(|| jumpslice_obs::Event::Count {
             name: "pdg.patched_data_edges",
@@ -338,14 +347,24 @@ impl Pdg {
         &self.control
     }
 
+    /// The closure engine over this PDG's edges (condensed on first use;
+    /// see [`closure`]). Its memoized closures live as long as the PDG.
+    pub fn closure_index(&self) -> &ClosureIndex {
+        self.closure.get_or_init(|| ClosureIndex::build(self))
+    }
+
+    /// [`Pdg::closure_index`] without building it: `None` until something
+    /// asked for the engine.
+    pub fn built_closure_index(&self) -> Option<&ClosureIndex> {
+        self.closure.get()
+    }
+
     /// Direct dependences of `s`: data then control, deduplicated.
     pub fn deps(&self, s: StmtId) -> Vec<StmtId> {
-        let mut out: Vec<StmtId> = self.data.deps(s).to_vec();
-        for &c in self.control.deps(s) {
-            if !out.contains(&c) {
-                out.push(c);
-            }
-        }
+        let (data, control) = (self.data.deps(s), self.control.deps(s));
+        let mut out = Vec::with_capacity(data.len() + control.len());
+        out.extend_from_slice(data);
+        out.extend(control.iter().filter(|c| !data.contains(c)));
         out
     }
 
@@ -359,59 +378,19 @@ impl Pdg {
         slice
     }
 
-    /// [`Pdg::backward_closure`] accumulating into a caller-provided set —
-    /// the allocation-free form the batch engine uses with per-thread
-    /// scratch sets. `slice` is *not* cleared: statements already present
-    /// act as visited marks, so closures can be layered.
+    /// [`Pdg::backward_closure`] accumulating into a caller-provided set.
+    /// `slice` is *not* cleared: statements already present act as visited
+    /// marks, so closures can be layered.
     pub fn backward_closure_into(
         &self,
         seeds: impl IntoIterator<Item = StmtId>,
         slice: &mut StmtSet,
     ) {
-        let mut work = Vec::new();
-        self.backward_closure_into_with_scratch(seeds, slice, &mut work);
-    }
-
-    /// [`Pdg::backward_closure_into`] reusing a caller-provided work vector,
-    /// so hot loops that run one closure per jump admission (the Figure-7
-    /// fixpoint, the batch engine's workers) stop allocating a fresh
-    /// `Vec` each time. `work` is cleared on entry; its contents on return
-    /// are unspecified.
-    pub fn backward_closure_into_with_scratch(
-        &self,
-        seeds: impl IntoIterator<Item = StmtId>,
-        slice: &mut StmtSet,
-        work: &mut Vec<StmtId>,
-    ) {
-        work.clear();
-        work.extend(seeds);
+        let mut work: Vec<StmtId> = seeds.into_iter().collect();
         while let Some(s) = work.pop() {
             if !slice.insert(s) {
                 continue;
             }
-            work.extend(self.data.deps(s).iter().copied());
-            work.extend(self.control.deps(s).iter().copied());
-        }
-    }
-
-    /// [`Pdg::backward_closure_into_with_scratch`] that additionally appends
-    /// every *newly inserted* statement to `delta` (which is **not**
-    /// cleared). The sparse Figure-7 kernel feeds the delta to its dirty-jump
-    /// index so only tests whose inputs changed are re-run.
-    pub fn backward_closure_delta(
-        &self,
-        seeds: impl IntoIterator<Item = StmtId>,
-        slice: &mut StmtSet,
-        work: &mut Vec<StmtId>,
-        delta: &mut Vec<StmtId>,
-    ) {
-        work.clear();
-        work.extend(seeds);
-        while let Some(s) = work.pop() {
-            if !slice.insert(s) {
-                continue;
-            }
-            delta.push(s);
             work.extend(self.data.deps(s).iter().copied());
             work.extend(self.control.deps(s).iter().copied());
         }
@@ -636,30 +615,32 @@ mod tests {
     }
 
     #[test]
-    fn scratch_and_delta_closures_match_the_plain_one() {
+    fn layered_closure_matches_the_plain_one() {
         let p = parse("read(c); while (c) { read(x); y = x; } write(y);").unwrap();
         let cfg = Cfg::build(&p);
         let pdg = Pdg::build(&p, &cfg);
         let plain = pdg.backward_closure([p.at_line(5)]);
-
-        let mut work = vec![p.at_line(1); 8]; // dirty scratch must not leak in
-        let mut via_scratch = StmtSet::with_capacity(p.len());
-        pdg.backward_closure_into_with_scratch([p.at_line(5)], &mut via_scratch, &mut work);
-        assert_eq!(via_scratch, plain);
-
-        // The delta form reports exactly the newly inserted statements,
-        // layered on top of a pre-populated slice (line 1 is in the
-        // closure; pre-seeding it keeps it out of the delta).
+        // A pre-seeded statement acts as a visited mark.
         let mut layered: StmtSet = [p.at_line(1)].into_iter().collect();
-        let mut delta = Vec::new();
-        pdg.backward_closure_delta([p.at_line(5)], &mut layered, &mut work, &mut delta);
+        pdg.backward_closure_into([p.at_line(5)], &mut layered);
         assert_eq!(layered, plain);
-        let mut delta_set: StmtSet = delta.iter().copied().collect();
-        delta_set.insert(p.at_line(1));
-        assert_eq!(delta_set, plain, "delta == inserted statements");
-        assert!(
-            !delta.contains(&p.at_line(1)),
-            "pre-seeded stmt not re-reported"
+    }
+
+    #[test]
+    fn repointing_data_uses_drops_the_closure_engine() {
+        let p = parse("read(a); read(b); x = a; write(x);").unwrap();
+        let cfg = Cfg::build(&p);
+        let mut pdg = Pdg::build(&p, &cfg);
+        let _ = pdg.closure_index().backward_closure([p.at_line(4)]);
+        assert!(pdg.built_closure_index().is_some());
+        let q = parse("read(a); read(b); x = b; write(x);").unwrap();
+        let rd = ReachingDefs::compute(&q, &cfg);
+        pdg.repoint_data_uses(&q, &cfg, &rd, q.at_line(3));
+        assert!(pdg.built_closure_index().is_none());
+        let w = q.at_line(4);
+        assert_eq!(
+            pdg.closure_index().backward_closure([w]),
+            pdg.backward_closure([w])
         );
     }
 

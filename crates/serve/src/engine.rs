@@ -467,20 +467,15 @@ impl Engine {
             Some(SliceFault::None) | None => None,
         };
         let attempt = entry.session.with_analysis(|a| {
-            // Cold-miss warms take the parallel phase-DAG schedule; the
-            // slice fan-out itself stays single-threaded per request —
-            // concurrency lives across requests, not within one. Re-solved
-            // warm seeds skip the warm entirely: the condensed closure
-            // index is not seed-persisted, so warming here would rebuild
-            // it on every request and tax each warm hit for an index only
-            // that one request could use.
-            if !a.is_warm() {
-                a.warm_parallel(
-                    std::thread::available_parallelism()
-                        .map(std::num::NonZeroUsize::get)
-                        .unwrap_or(1),
-                );
-            }
+            // Cold misses take the parallel phase-DAG schedule; a warm hit
+            // returns at once, since the seeded PDG carries its closure
+            // engine. The slice fan-out itself stays single-threaded per
+            // request — concurrency lives across requests, not within one.
+            a.warm_parallel(
+                std::thread::available_parallelism()
+                    .map(std::num::NonZeroUsize::get)
+                    .unwrap_or(1),
+            );
             BatchSlicer::new(a)
                 .with_threads(1)
                 .with_deadline(deadline)
