@@ -305,7 +305,7 @@ fn main() {
 
     // The forced-2-thread cold warm: `warm_parallel(2)` regardless of
     // `available_parallelism`, so the phase-DAG scheduler's helper spawn,
-    // data fan-out, and join paths are exercised (and timed) even on the
+    // channel hand-off, and join paths are exercised (and timed) even on the
     // single-core containers that skip the adaptive arm above. Kept out of
     // `cold_analysis_sweeps` so its row never collides with the adaptive
     // rows the perf gate compares.

@@ -251,56 +251,22 @@ impl<'p> Analysis<'p> {
     /// its data half reuses the cached reaching-definitions fixpoint, its
     /// control half the cached postdominator tree).
     pub fn pdg(&self) -> &Pdg {
-        self.pdg_with(1, || self.control_deps())
+        self.pdg_with(|| self.control_deps())
     }
 
-    /// The PDG's one builder. The data half fans out over `threads`
-    /// statement ranges (see [`DataDeps::deps_of_range`]); `control`
-    /// supplies the control half — computed in place by the lazy accessor,
-    /// received from the helper thread by the warm schedule.
-    fn pdg_with(&self, threads: usize, control: impl FnOnce() -> ControlDeps) -> &Pdg {
+    /// The PDG's one builder. It derives the data half from the cached
+    /// reaching definitions; `control` supplies the control half —
+    /// computed in place by the lazy accessor, received from the helper
+    /// thread by the warm schedule.
+    fn pdg_with(&self, control: impl FnOnce() -> ControlDeps) -> &Pdg {
         self.cache_probe(obs::Artifact::Pdg, self.pdg.get().is_some());
         self.pdg.get_or_init(|| {
             self.n_pdg.fetch_add(1, Ordering::Relaxed);
             let reaching = self.reaching();
             let _t = obs::phase(obs::Phase::PdgBuild);
-            let data = self.data_deps(reaching, threads);
+            let data = DataDeps::from_reaching(self.prog, &self.cfg, reaching);
             Pdg::from_parts(data, control())
         })
-    }
-
-    /// Data dependence from `rd`, split into `threads` statement ranges.
-    /// The coordinator takes the first range itself; each statement's list
-    /// depends only on its own uses and IN set, so the concatenation is
-    /// the same under any split.
-    fn data_deps(&self, rd: &ReachingDefs, threads: usize) -> DataDeps {
-        let n = self.prog.len();
-        let chunk = n.div_ceil(threads).max(1);
-        let ranges: Vec<(usize, usize)> = (0..n)
-            .step_by(chunk)
-            .map(|lo| (lo, (lo + chunk).min(n)))
-            .collect();
-        let deps_of =
-            |&(lo, hi): &(usize, usize)| DataDeps::deps_of_range(self.prog, &self.cfg, rd, lo, hi);
-        let deps = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .skip(1)
-                .map(|r| spawn_caught(scope, move || deps_of(r)))
-                .collect();
-            let mut deps = ranges.first().map(deps_of).unwrap_or_default();
-            for h in handles {
-                deps.extend(join_caught("data_deps", h));
-            }
-            deps
-        });
-        if threads > 1 {
-            obs::record(|| obs::Event::Count {
-                name: "analysis.parallel.data_ranges",
-                value: ranges.len() as u64,
-            });
-        }
-        DataDeps::from_deps(deps)
     }
 
     /// The PDG's control half, over the cached postdominator tree.
@@ -421,9 +387,9 @@ impl<'p> Analysis<'p> {
     /// - a helper thread runs the CFG-only chain: postdominators, control
     ///   dependence, lexical successor tree, chain index;
     /// - meanwhile the coordinator runs the reaching-definitions fixpoint,
-    ///   fans data-dependence construction out over statement ranges (see
-    ///   [`DataDeps::deps_of_range`]), merges the PDG once the helper hands
-    ///   over control dependence, and condenses it into the closure engine.
+    ///   derives data dependence from it, merges the PDG once the helper
+    ///   hands over control dependence, and condenses it into the closure
+    ///   engine.
     ///
     /// Every artifact is built by its own accessor, so the schedule only
     /// decides which thread calls which accessor, and the installed
@@ -490,7 +456,7 @@ impl<'p> Analysis<'p> {
                 cfg_chain();
             }
             let _ = self.reaching();
-            let _ = self.pdg_with(threads, || {
+            let _ = self.pdg_with(|| {
                 rx.recv().unwrap_or_else(|_| {
                     // The helper dropped its sender unsent: it panicked.
                     if let Some(h) = helper.take() {

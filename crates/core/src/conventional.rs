@@ -43,16 +43,7 @@ impl Criterion {
             Some(vars) => {
                 // One fixpoint per program, not per criterion: the analysis
                 // caches ReachingDefs and every vars_at slice shares it.
-                let rd = a.reaching();
-                let node = a.cfg().node(self.stmt);
-                let mut seeds = Vec::new();
-                for d in rd.reaching_in(node) {
-                    let v = a.prog().defs(d).expect("def site");
-                    if vars.contains(&v) && !seeds.contains(&d) {
-                        seeds.push(d);
-                    }
-                }
-                seeds
+                a.reaching().reaching_defs_of(a.cfg().node(self.stmt), vars)
             }
         }
     }

@@ -14,9 +14,11 @@ pub type SlicePoint = Option<StmtId>;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Slice {
     /// The statements included in the slice, as a dense bitset. Iteration
-    /// is in ascending statement-id order (= lexical order), so everything
-    /// downstream of the old sorted-`BTreeSet` representation — `lines`,
-    /// `render`, the figure tests — sees identical output.
+    /// is in ascending statement-id order. That is lexical order for parsed
+    /// programs but not in general: `ProgramBuilder::if_else` and `while_`
+    /// allocate a compound statement's id after its branches. Use
+    /// [`Slice::lines`] (which sorts by line) or [`Slice::render`] for
+    /// lexical order.
     pub stmts: StmtSet,
     /// Labels whose original carrier fell out of the slice, re-associated
     /// with their target's nearest postdominator in the slice (`None` = the
@@ -89,6 +91,26 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert!(s.contains(p.at_line(1)));
         assert!(!s.contains(p.at_line(2)));
+    }
+
+    #[test]
+    fn lines_are_lexical_for_builder_programs() {
+        use jumpslice_lang::{Expr, ProgramBuilder};
+        // `if (c) { x = 1; }`: the builder gives the `if` a larger id than
+        // its branch statement, which precedes it in id order.
+        let mut b = ProgramBuilder::new();
+        b.read("c");
+        let c = b.var("c");
+        let iff = b.if_then(c, |b| {
+            b.assign("x", Expr::num(1));
+        });
+        let p = b.build().unwrap();
+        let (read, assign) = (p.at_line(1), p.at_line(3));
+        assert!(assign < iff, "the branch statement's id precedes the if's");
+        let s = Slice::from_stmts([read, iff, assign].into_iter().collect());
+        let by_id: Vec<usize> = s.stmts.iter().map(|t| p.line_of(t)).collect();
+        assert_eq!(by_id, vec![1, 3, 2], "id order is not lexical");
+        assert_eq!(s.lines(&p), vec![1, 2, 3]);
     }
 
     #[test]

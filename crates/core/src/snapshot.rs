@@ -818,6 +818,7 @@ fn decode_reaching(
             .collect()
     };
     Ok(ReachingDefs::from_parts(
+        prog,
         def_sites,
         in_sets,
         VarTable::from_vars(vars),

@@ -100,6 +100,23 @@ impl BitSet {
         }
     }
 
+    /// Sets every bit outside `mask` to `src`'s and keeps the bits under
+    /// `mask`; returns `true` if `self` changed. All three sets share a
+    /// capacity. This is a definition's reaching-definitions transfer
+    /// (`mask` = the sites of the defined variable, the site's own bit
+    /// already set in `self`).
+    pub(crate) fn replace_outside(&mut self, src: &BitSet, mask: &BitSet) -> bool {
+        debug_assert_eq!(self.capacity, src.capacity);
+        debug_assert_eq!(self.capacity, mask.capacity);
+        let mut changed = false;
+        for ((a, &s), &m) in self.words.iter_mut().zip(&src.words).zip(&mask.words) {
+            let new = (s & !m) | (*a & m);
+            changed |= new != *a;
+            *a = new;
+        }
+        changed
+    }
+
     /// Whether the two sets share any element, word-parallel. Capacities
     /// may differ; bits past the shorter operand are treated as absent.
     pub fn intersects(&self, other: &BitSet) -> bool {

@@ -70,79 +70,80 @@ impl VarTable {
 /// The classic forward may-analysis: which definition sites reach each node.
 ///
 /// Definition sites are the statements with a def (`x = e;`, `read(x);`),
-/// numbered densely.
+/// numbered densely in ascending statement-id order.
 #[derive(Clone, Debug)]
 pub struct ReachingDefs {
-    /// Definition sites, in discovery order.
+    /// Definition sites, in ascending statement-id order.
     def_sites: Vec<StmtId>,
     /// IN set per CFG node, over def-site indices.
     in_sets: Vec<BitSet>,
     vars: VarTable,
+    /// Per variable (by [`VarTable`] index): the sites defining it. A
+    /// definition of `v` kills exactly `masks[v]`, and the definitions of
+    /// `v` reaching a node are its IN set intersected with `masks[v]`.
+    masks: Vec<BitSet>,
 }
 
-/// The dense def-site numbering plus per-node gen/kill sets — the static
-/// part of the reaching-definitions problem, shared by the cold solve and
-/// the seeded re-solve.
-struct GenKill {
+/// The dense def-site numbering plus the per-variable site masks — the
+/// static part of the reaching-definitions problem, shared by the cold
+/// solve and the seeded re-solve.
+struct Sites {
     vars: VarTable,
     def_sites: Vec<StmtId>,
     site_of_stmt: Vec<Option<usize>>,
-    gen: Vec<BitSet>,
-    kill: Vec<BitSet>,
+    /// The [`VarTable`] index each site defines.
+    var_of_site: Vec<usize>,
+    masks: Vec<BitSet>,
 }
 
-impl GenKill {
-    fn of(prog: &Program, cfg: &Cfg) -> GenKill {
+impl Sites {
+    fn of(prog: &Program) -> Sites {
         let vars = VarTable::of(prog);
         let mut def_sites = Vec::new();
         let mut site_of_stmt: Vec<Option<usize>> = vec![None; prog.len()];
-        let mut sites_of_var: Vec<Vec<usize>> = vec![Vec::new(); vars.len()];
+        let mut var_of_site = Vec::new();
         for s in prog.stmt_ids() {
             if let Some(v) = prog.defs(s) {
-                let idx = def_sites.len();
+                site_of_stmt[s.index()] = Some(def_sites.len());
                 def_sites.push(s);
-                site_of_stmt[s.index()] = Some(idx);
-                sites_of_var[vars.index_of(v).expect("collected")].push(idx);
+                var_of_site.push(vars.index_of(v).expect("collected"));
             }
         }
-
-        let n = cfg.graph().len();
-        let nsites = def_sites.len();
-        let mut gen = vec![BitSet::new(nsites); n];
-        let mut kill = vec![BitSet::new(nsites); n];
-        for s in prog.stmt_ids() {
-            if let Some(idx) = site_of_stmt[s.index()] {
-                let node = cfg.node(s);
-                gen[node.index()].insert(idx);
-                let v = prog.defs(s).expect("site has def");
-                for &other in &sites_of_var[vars.index_of(v).expect("collected")] {
-                    if other != idx {
-                        kill[node.index()].insert(other);
-                    }
-                }
-            }
-        }
-        GenKill {
+        let masks = masks_of(prog, &vars, &def_sites);
+        Sites {
             vars,
             def_sites,
             site_of_stmt,
-            gen,
-            kill,
+            var_of_site,
+            masks,
         }
     }
+}
+
+/// The per-variable site masks over `def_sites`. A site that defines no
+/// variable of `vars` (possible only in mismatched raw parts) joins no
+/// mask.
+fn masks_of(prog: &Program, vars: &VarTable, def_sites: &[StmtId]) -> Vec<BitSet> {
+    let mut masks = vec![BitSet::new(def_sites.len()); vars.len()];
+    for (d, &s) in def_sites.iter().enumerate() {
+        if let Some(v) = prog.defs(s).and_then(|v| vars.index_of(v)) {
+            masks[v].insert(d);
+        }
+    }
+    masks
 }
 
 impl ReachingDefs {
     /// Runs the fixpoint on `prog`'s flowgraph.
     pub fn compute(prog: &Program, cfg: &Cfg) -> ReachingDefs {
-        let gk = GenKill::of(prog, cfg);
-        let in_sets = vec![BitSet::new(gk.def_sites.len()); cfg.graph().len()];
-        Self::solve(cfg, gk, in_sets, "reaching.fixpoint_passes").0
+        let sites = Sites::of(prog);
+        let in_sets = vec![BitSet::new(sites.def_sites.len()); cfg.graph().len()];
+        Self::solve(cfg, sites, in_sets, "reaching.fixpoint_passes").0
     }
 
     /// Re-solves the fixpoint for an edited program, warm-started from the
-    /// previous solution, and reports which nodes' IN sets ended up
-    /// different from the translated seed.
+    /// previous solution, and reports which nodes' IN sets moved off the
+    /// translated seed.
     ///
     /// `fwd` maps each old-arena statement index to its surviving id in
     /// `prog` (`None` for deleted statements). `dirty_vars` are the
@@ -166,9 +167,10 @@ impl ReachingDefs {
     /// counterpart start at bottom, which is trivially safe.
     ///
     /// The returned flags are indexed by `cfg` node: `true` means the
-    /// node's fixpoint IN set differs from its seed, or the node had no old
-    /// counterpart to seed from. Callers patching per-statement facts (see
-    /// [`DataDeps::patch_seeded`]) may keep facts at unflagged nodes.
+    /// node's IN set changed at some step of the iteration from its seed,
+    /// or the node had no old counterpart to seed from. Callers patching
+    /// per-statement facts (see [`DataDeps::patch_seeded`]) may keep facts
+    /// at unflagged nodes.
     pub fn compute_seeded_tracked(
         prog: &Program,
         cfg: &Cfg,
@@ -178,158 +180,126 @@ impl ReachingDefs {
         dirty_vars: &[Name],
         dirty_from: Option<NodeId>,
     ) -> (ReachingDefs, Vec<bool>) {
-        let gk = GenKill::of(prog, cfg);
-        let nsites = gk.def_sites.len();
-        let n = cfg.graph().len();
-        let mut in_sets = vec![BitSet::new(nsites); n];
-
-        // Translate old site indices to new ones across the statement map;
-        // sites of deleted statements drop out here.
-        let mut site_map: Vec<Option<usize>> = vec![None; old.def_sites.len()];
-        let mut dirty_old_site = vec![false; old.def_sites.len()];
-        for (old_idx, &old_stmt) in old.def_sites.iter().enumerate() {
-            let Some(new_stmt) = fwd.get(old_stmt.index()).copied().flatten() else {
-                continue;
-            };
-            let Some(new_idx) = gk.site_of_stmt[new_stmt.index()] else {
-                continue;
-            };
-            site_map[old_idx] = Some(new_idx);
-            let v = prog.defs(new_stmt).expect("def site maps to def site");
-            dirty_old_site[old_idx] = dirty_vars.contains(&v);
-        }
-        let affected: Option<Vec<bool>> =
-            dirty_from.map(|v| jumpslice_graph::reachable_from(cfg.graph(), v));
-        let in_region = |node: NodeId| affected.as_ref().is_none_or(|a| a[node.index()]);
-
-        let mut seeded_bits = 0u64;
-        let masked_identity = site_map
-            .iter()
-            .enumerate()
-            .all(|(i, m)| m.is_none() || *m == Some(i));
-        if masked_identity {
-            // Every surviving site keeps its index (edits at the end of the
-            // program), so the translation is a word-parallel masked union
-            // instead of a per-bit loop.
-            let old_nsites = old.def_sites.len();
-            let mut clean = BitSet::new(old_nsites);
-            let mut safe = BitSet::new(old_nsites);
-            for (i, m) in site_map.iter().enumerate() {
-                if m.is_some() {
-                    clean.insert(i);
-                    if !dirty_old_site[i] {
-                        safe.insert(i);
-                    }
-                }
-            }
-            for (old_stmt_idx, &new_stmt) in fwd.iter().enumerate() {
-                let Some(new_stmt) = new_stmt else { continue };
-                let old_node = old_cfg.node(StmtId::from_index(old_stmt_idx));
-                let new_node = cfg.node(new_stmt);
-                let mask = if in_region(new_node) { &safe } else { &clean };
-                in_sets[new_node.index()].union_masked(&old.in_sets[old_node.index()], mask);
-            }
-            seeded_bits = in_sets.iter().map(|s| s.len() as u64).sum();
-        } else {
-            for (old_stmt_idx, &new_stmt) in fwd.iter().enumerate() {
-                let Some(new_stmt) = new_stmt else { continue };
-                let old_node = old_cfg.node(StmtId::from_index(old_stmt_idx));
-                let new_node = cfg.node(new_stmt);
-                let dirty_here = in_region(new_node);
-                let target = &mut in_sets[new_node.index()];
-                for old_bit in old.in_sets[old_node.index()].iter() {
-                    if dirty_here && dirty_old_site[old_bit] {
-                        continue;
-                    }
-                    if let Some(new_bit) = site_map[old_bit] {
-                        target.insert(new_bit);
-                        seeded_bits += 1;
-                    }
-                }
-            }
-        }
-
-        jumpslice_obs::record(|| jumpslice_obs::Event::Count {
-            name: "reaching.seeded_bits",
-            value: seeded_bits,
-        });
-        let (rd, mut in_changed) = Self::solve(cfg, gk, in_sets, "reaching.seeded_passes");
-        let mut has_old = vec![false; n];
+        let sites = Sites::of(prog);
+        let in_sets = seed_in_sets(prog, cfg, old_cfg, old, &sites, fwd, dirty_vars, dirty_from);
+        let (rd, mut in_changed) = Self::solve(cfg, sites, in_sets, "reaching.seeded_passes");
+        let mut has_old = vec![false; in_changed.len()];
         for &new_stmt in fwd.iter().flatten() {
             has_old[cfg.node(new_stmt).index()] = true;
         }
-        for (i, flag) in in_changed.iter_mut().enumerate() {
-            *flag |= !has_old[i];
+        for (flag, had) in in_changed.iter_mut().zip(has_old) {
+            *flag |= !had;
         }
         (rd, in_changed)
     }
 
-    /// Chaotic iteration to the least fixpoint from `in_sets` (which must
-    /// be at or below it), reporting per node whether its IN set at the
-    /// fixpoint differs from the seed it started from. Out-sets are derived
-    /// from the seed via the transfer function, preserving the invariant.
+    /// Iterates to the least fixpoint from `in_sets` (which must be at or
+    /// below it), reporting per node whether its IN set changed at any
+    /// step.
+    ///
+    /// Sweeps run in reverse postorder from entry, each visiting only the
+    /// nodes a predecessor's OUT change has marked since their last visit
+    /// (every node on the first sweep). A skipped node would recompute
+    /// exactly its current IN, so the sets, the flags and the pass count
+    /// are those of the textbook sweep over every node. Only definition
+    /// nodes store an OUT set — (IN minus the variable's mask) plus the
+    /// site itself; elsewhere OUT is IN. Nodes unreachable from entry are
+    /// never visited and keep empty sets, so dead definitions cannot leak
+    /// into reachable fall-through successors.
     fn solve(
         cfg: &Cfg,
-        gk: GenKill,
+        sites: Sites,
         mut in_sets: Vec<BitSet>,
         counter: &'static str,
     ) -> (ReachingDefs, Vec<bool>) {
-        let GenKill {
+        const NONE: u32 = u32::MAX;
+        let Sites {
             vars,
             def_sites,
-            gen,
-            kill,
+            var_of_site,
+            masks,
             ..
-        } = gk;
-        // Worklist in reverse postorder from entry for fast convergence.
-        // Nodes unreachable from entry are excluded, and must keep empty
-        // sets — deriving `out = gen` for them would let dead definitions
-        // leak into reachable fall-through successors.
-        let order = jumpslice_graph::reverse_postorder(cfg.graph(), cfg.entry());
-        let n = cfg.graph().len();
-        let nsites = def_sites.len();
-        let mut live_node = vec![false; n];
-        for &node in &order {
-            live_node[node.index()] = true;
+        } = sites;
+        let g = cfg.graph();
+        let n = g.len();
+        let order = jumpslice_graph::reverse_postorder(g, cfg.entry());
+        // Node → sweep position (`NONE`: unreachable), and node → its
+        // definition site (`NONE`: OUT is IN).
+        let mut pos = vec![NONE; n];
+        for (k, &node) in order.iter().enumerate() {
+            pos[node.index()] = k as u32;
+        }
+        let mut site_at = vec![NONE; n];
+        for (d, &s) in def_sites.iter().enumerate() {
+            site_at[cfg.node(s).index()] = d as u32;
         }
         let mut in_changed = vec![false; n];
-        let mut out_sets = Vec::with_capacity(n);
-        for i in 0..n {
-            if !live_node[i] {
-                if !in_sets[i].is_empty() {
-                    in_changed[i] = true;
-                }
-                in_sets[i].clear();
-                out_sets.push(BitSet::new(nsites));
-                continue;
+        for (i, set) in in_sets.iter_mut().enumerate() {
+            if pos[i] == NONE && !set.is_empty() {
+                in_changed[i] = true;
+                set.clear();
             }
-            let mut out = in_sets[i].clone();
-            out.subtract(&kill[i]);
-            out.union_with(&gen[i]);
-            out_sets.push(out);
         }
-        let mut changed = true;
+        let mut outs: Vec<BitSet> = def_sites
+            .iter()
+            .enumerate()
+            .map(|(d, &s)| {
+                let i = cfg.node(s).index();
+                let mut out = in_sets[i].clone();
+                if pos[i] != NONE {
+                    out.subtract(&masks[var_of_site[d]]);
+                    out.insert(d);
+                }
+                out
+            })
+            .collect();
+
+        let mut dirty = vec![true; order.len()];
+        let mut scratch = BitSet::new(def_sites.len());
         let mut passes = 0u64;
-        while changed {
-            changed = false;
+        loop {
             passes += 1;
-            for &node in &order {
+            let mut changed = false;
+            let mut pending = false;
+            for (k, &node) in order.iter().enumerate() {
+                if !std::mem::take(&mut dirty[k]) {
+                    continue;
+                }
                 let i = node.index();
-                let mut new_in = BitSet::new(nsites);
-                for &p in cfg.graph().preds(node) {
-                    new_in.union_with(&out_sets[p.index()]);
+                scratch.clear();
+                for &p in g.preds(node) {
+                    let p = p.index();
+                    scratch.union_with(match site_at[p] {
+                        NONE => &in_sets[p],
+                        d => &outs[d as usize],
+                    });
                 }
-                let mut new_out = new_in.clone();
-                new_out.subtract(&kill[i]);
-                new_out.union_with(&gen[i]);
-                if new_in != in_sets[i] || new_out != out_sets[i] {
-                    if new_in != in_sets[i] {
-                        in_changed[i] = true;
+                if scratch == in_sets[i] {
+                    continue;
+                }
+                std::mem::swap(&mut scratch, &mut in_sets[i]);
+                in_changed[i] = true;
+                changed = true;
+                let out_changed = match site_at[i] {
+                    NONE => true,
+                    d => {
+                        let d = d as usize;
+                        outs[d].replace_outside(&in_sets[i], &masks[var_of_site[d]])
                     }
-                    in_sets[i] = new_in;
-                    out_sets[i] = new_out;
-                    changed = true;
+                };
+                if out_changed {
+                    for &s in g.succs(node) {
+                        let ks = pos[s.index()] as usize;
+                        dirty[ks] = true;
+                        pending |= ks <= k;
+                    }
                 }
+            }
+            if !pending {
+                // The textbook sweep ends with one pass that changes
+                // nothing; count it.
+                passes += u64::from(changed);
+                break;
             }
         }
 
@@ -342,6 +312,7 @@ impl ReachingDefs {
                 def_sites,
                 in_sets,
                 vars,
+                masks,
             },
             in_changed,
         )
@@ -352,7 +323,7 @@ impl ReachingDefs {
         &self.vars
     }
 
-    /// The definition sites, in discovery order — bit `i` of every IN set
+    /// The definition sites, ascending — bit `i` of every IN set
     /// refers to `def_sites()[i]`.
     pub fn def_sites(&self) -> &[StmtId] {
         &self.def_sites
@@ -365,19 +336,24 @@ impl ReachingDefs {
 
     /// Reassembles a solution from its raw parts — the snapshot-restore
     /// constructor, inverse of [`ReachingDefs::def_sites`] /
-    /// [`ReachingDefs::in_sets`] / [`ReachingDefs::vars`]. The caller is
-    /// responsible for the parts describing the same program the solution
-    /// was computed for; slicing through a mismatched solution is undefined
-    /// (but memory-safe — all downstream access is bounds-checked).
+    /// [`ReachingDefs::in_sets`] / [`ReachingDefs::vars`]; the
+    /// per-variable site masks are derived from `prog`. The caller is
+    /// responsible for the parts describing `prog`, the program the
+    /// solution was computed for; slicing through a mismatched solution is
+    /// undefined (but memory-safe — all downstream access is
+    /// bounds-checked).
     pub fn from_parts(
+        prog: &Program,
         def_sites: Vec<StmtId>,
         in_sets: Vec<BitSet>,
         vars: VarTable,
     ) -> ReachingDefs {
+        let masks = masks_of(prog, &vars, &def_sites);
         ReachingDefs {
             def_sites,
             in_sets,
             vars,
+            masks,
         }
     }
 
@@ -385,6 +361,123 @@ impl ReachingDefs {
     pub fn reaching_in(&self, node: NodeId) -> impl Iterator<Item = StmtId> + '_ {
         self.in_sets[node.index()].iter().map(|i| self.def_sites[i])
     }
+
+    /// The definitions of any of `vars` reaching the entry of `node`, in
+    /// def-site order (ascending statement id), without duplicates. Reads
+    /// the IN set a word at a time against the variables' site masks;
+    /// variables the program never defines match nothing.
+    pub fn reaching_defs_of(&self, node: NodeId, vars: &[Name]) -> Vec<StmtId> {
+        let masks: Vec<&[u64]> = vars
+            .iter()
+            .filter_map(|&v| self.vars.index_of(v))
+            .map(|v| self.masks[v].words())
+            .collect();
+        let mut out = Vec::new();
+        if masks.is_empty() {
+            return out;
+        }
+        for (w, &word) in self.in_sets[node.index()].words().iter().enumerate() {
+            let mut hits = word
+                & masks
+                    .iter()
+                    .fold(0, |acc, m| acc | m.get(w).copied().unwrap_or(0));
+            while hits != 0 {
+                out.push(self.def_sites[w * 64 + hits.trailing_zeros() as usize]);
+                hits &= hits - 1;
+            }
+        }
+        out
+    }
+}
+
+/// The seed [`ReachingDefs::compute_seeded_tracked`] iterates from: the old
+/// IN sets translated across the statement map, minus the dirty variables'
+/// bits inside the region reachable from `dirty_from` (see the soundness
+/// note there).
+#[allow(clippy::too_many_arguments)]
+fn seed_in_sets(
+    prog: &Program,
+    cfg: &Cfg,
+    old_cfg: &Cfg,
+    old: &ReachingDefs,
+    sites: &Sites,
+    fwd: &[Option<StmtId>],
+    dirty_vars: &[Name],
+    dirty_from: Option<NodeId>,
+) -> Vec<BitSet> {
+    let mut in_sets = vec![BitSet::new(sites.def_sites.len()); cfg.graph().len()];
+
+    // Translate old site indices to new ones across the statement map;
+    // sites of deleted statements drop out here.
+    let mut site_map: Vec<Option<usize>> = vec![None; old.def_sites.len()];
+    let mut dirty_old_site = vec![false; old.def_sites.len()];
+    for (old_idx, &old_stmt) in old.def_sites.iter().enumerate() {
+        let Some(new_stmt) = fwd.get(old_stmt.index()).copied().flatten() else {
+            continue;
+        };
+        let Some(new_idx) = sites.site_of_stmt[new_stmt.index()] else {
+            continue;
+        };
+        site_map[old_idx] = Some(new_idx);
+        let v = prog.defs(new_stmt).expect("def site maps to def site");
+        dirty_old_site[old_idx] = dirty_vars.contains(&v);
+    }
+    let affected: Option<Vec<bool>> =
+        dirty_from.map(|v| jumpslice_graph::reachable_from(cfg.graph(), v));
+    let in_region = |node: NodeId| affected.as_ref().is_none_or(|a| a[node.index()]);
+
+    let mut seeded_bits = 0u64;
+    let masked_identity = site_map
+        .iter()
+        .enumerate()
+        .all(|(i, m)| m.is_none() || *m == Some(i));
+    if masked_identity {
+        // Every surviving site keeps its index (edits at the end of the
+        // program), so the translation is a word-parallel masked union
+        // instead of a per-bit loop.
+        let old_nsites = old.def_sites.len();
+        let mut clean = BitSet::new(old_nsites);
+        let mut safe = BitSet::new(old_nsites);
+        for (i, m) in site_map.iter().enumerate() {
+            if m.is_some() {
+                clean.insert(i);
+                if !dirty_old_site[i] {
+                    safe.insert(i);
+                }
+            }
+        }
+        for (old_stmt_idx, &new_stmt) in fwd.iter().enumerate() {
+            let Some(new_stmt) = new_stmt else { continue };
+            let old_node = old_cfg.node(StmtId::from_index(old_stmt_idx));
+            let new_node = cfg.node(new_stmt);
+            let mask = if in_region(new_node) { &safe } else { &clean };
+            in_sets[new_node.index()].union_masked(&old.in_sets[old_node.index()], mask);
+        }
+        seeded_bits = in_sets.iter().map(|s| s.len() as u64).sum();
+    } else {
+        for (old_stmt_idx, &new_stmt) in fwd.iter().enumerate() {
+            let Some(new_stmt) = new_stmt else { continue };
+            let old_node = old_cfg.node(StmtId::from_index(old_stmt_idx));
+            let new_node = cfg.node(new_stmt);
+            let dirty_here = in_region(new_node);
+            let target = &mut in_sets[new_node.index()];
+            for old_bit in old.in_sets[old_node.index()].iter() {
+                if dirty_here && dirty_old_site[old_bit] {
+                    continue;
+                }
+                if let Some(new_bit) = site_map[old_bit] {
+                    target.insert(new_bit);
+                    seeded_bits += 1;
+                }
+            }
+        }
+    }
+
+    jumpslice_obs::record(|| jumpslice_obs::Event::Count {
+        name: "reaching.seeded_bits",
+        value: seeded_bits,
+    });
+    in_sets
 }
 
 /// Data-dependence edges: `u` depends on `d` when a definition at `d`
@@ -408,26 +501,7 @@ impl DataDeps {
 
     /// Derives the edges from a precomputed [`ReachingDefs`].
     pub fn from_reaching(prog: &Program, cfg: &Cfg, rd: &ReachingDefs) -> DataDeps {
-        Self::from_deps(Self::deps_of_range(prog, cfg, rd, 0, prog.len()))
-    }
-
-    /// The forward half of [`DataDeps::from_reaching`] restricted to
-    /// statements with index in `lo..hi` (lists sorted and deduplicated,
-    /// indexed relative to `lo`). The parallel cold-path warm fans the
-    /// ranges of `0..prog.len()` across threads and reassembles with
-    /// [`DataDeps::from_deps`]; because each statement's list depends only
-    /// on that statement's uses and IN-set, the concatenation is exactly
-    /// `from_reaching`'s forward half regardless of the range split.
-    pub fn deps_of_range(
-        prog: &Program,
-        cfg: &Cfg,
-        rd: &ReachingDefs,
-        lo: usize,
-        hi: usize,
-    ) -> Vec<Vec<StmtId>> {
-        (lo..hi)
-            .map(|i| deps_of(prog, cfg, rd, StmtId::from_index(i)))
-            .collect()
+        Self::from_deps(prog.stmt_ids().map(|u| deps_of(prog, cfg, rd, u)).collect())
     }
 
     /// Rebuilds the edge set from the forward direction only, deriving the
@@ -589,12 +663,12 @@ fn deps_of(prog: &Program, cfg: &Cfg, rd: &ReachingDefs, u: StmtId) -> Vec<StmtI
     if used.is_empty() {
         return Vec::new();
     }
-    let mut deps: Vec<StmtId> = rd
-        .reaching_in(cfg.node(u))
-        .filter(|&d| used.contains(&prog.defs(d).expect("def site")))
-        .collect();
-    deps.sort();
-    deps.dedup();
+    let mut deps = rd.reaching_defs_of(cfg.node(u), &used);
+    // Computed def sites ascend; restored ones are not trusted to.
+    if !deps.windows(2).all(|w| w[0] < w[1]) {
+        deps.sort();
+        deps.dedup();
+    }
     deps
 }
 
@@ -878,6 +952,7 @@ mod tests {
         let cfg = Cfg::build(&p);
         let rd = ReachingDefs::compute(&p, &cfg);
         let rebuilt = ReachingDefs::from_parts(
+            &p,
             rd.def_sites().to_vec(),
             rd.in_sets().to_vec(),
             VarTable::from_vars((0..rd.vars().len()).map(|i| rd.vars().var(i)).collect()),
@@ -898,6 +973,203 @@ mod tests {
             assert_eq!(dd.deps(s), back.deps(s), "deps of {s:?}");
             assert_eq!(dd.dependents(s), back.dependents(s), "dependents of {s:?}");
         }
+    }
+
+    /// The textbook dense solve [`ReachingDefs::solve`] must reproduce bit
+    /// for bit: per-node gen and kill sets derived from the program alone,
+    /// every reachable node revisited on every pass with fresh sets.
+    /// Returns the IN sets, the changed-at-any-step flags and the pass
+    /// count.
+    fn dense_solve(
+        prog: &Program,
+        cfg: &Cfg,
+        mut in_sets: Vec<BitSet>,
+    ) -> (Vec<BitSet>, Vec<bool>, u64) {
+        let def_sites: Vec<StmtId> = prog
+            .stmt_ids()
+            .filter(|&s| prog.defs(s).is_some())
+            .collect();
+        let n = cfg.graph().len();
+        let nsites = def_sites.len();
+        let mut gen = vec![BitSet::new(nsites); n];
+        let mut kill = vec![BitSet::new(nsites); n];
+        for (d, &s) in def_sites.iter().enumerate() {
+            let node = cfg.node(s).index();
+            gen[node].insert(d);
+            for (e, &t) in def_sites.iter().enumerate() {
+                if e != d && prog.defs(t) == prog.defs(s) {
+                    kill[node].insert(e);
+                }
+            }
+        }
+        let order = jumpslice_graph::reverse_postorder(cfg.graph(), cfg.entry());
+        let mut live = vec![false; n];
+        for &node in &order {
+            live[node.index()] = true;
+        }
+        let mut in_changed = vec![false; n];
+        let mut out_sets = Vec::with_capacity(n);
+        for i in 0..n {
+            if !live[i] {
+                in_changed[i] |= !in_sets[i].is_empty();
+                in_sets[i].clear();
+                out_sets.push(BitSet::new(nsites));
+                continue;
+            }
+            let mut out = in_sets[i].clone();
+            out.subtract(&kill[i]);
+            out.union_with(&gen[i]);
+            out_sets.push(out);
+        }
+        let (mut changed, mut passes) = (true, 0);
+        while changed {
+            changed = false;
+            passes += 1;
+            for &node in &order {
+                let i = node.index();
+                let mut new_in = BitSet::new(nsites);
+                for &p in cfg.graph().preds(node) {
+                    new_in.union_with(&out_sets[p.index()]);
+                }
+                let mut new_out = new_in.clone();
+                new_out.subtract(&kill[i]);
+                new_out.union_with(&gen[i]);
+                if new_in != in_sets[i] || new_out != out_sets[i] {
+                    in_changed[i] |= new_in != in_sets[i];
+                    in_sets[i] = new_in;
+                    out_sets[i] = new_out;
+                    changed = true;
+                }
+            }
+        }
+        (in_sets, in_changed, passes)
+    }
+
+    /// The data-dependence scan the masked read replaced: every reaching
+    /// definition, filtered by the variables `u` uses.
+    fn scan_all_deps(prog: &Program, cfg: &Cfg, rd: &ReachingDefs, u: StmtId) -> Vec<StmtId> {
+        let used = prog.uses(u);
+        let mut deps: Vec<StmtId> = rd
+            .reaching_in(cfg.node(u))
+            .filter(|&d| used.contains(&prog.defs(d).expect("def site")))
+            .collect();
+        deps.sort();
+        deps.dedup();
+        deps
+    }
+
+    /// Solves from `seed` with the production sweep and the dense oracle,
+    /// asserts identical IN sets, flags and pass counts, and returns the
+    /// solution.
+    fn assert_solves_like_dense(prog: &Program, cfg: &Cfg, seed: Vec<BitSet>) -> ReachingDefs {
+        let (want_in, want_changed, want_passes) = dense_solve(prog, cfg, seed.clone());
+        let ((rd, changed), trace) = jumpslice_obs::capture(|| {
+            ReachingDefs::solve(cfg, Sites::of(prog), seed, "reaching.fixpoint_passes")
+        });
+        let passes = jumpslice_obs::Metrics::of(&trace).counts["reaching.fixpoint_passes"];
+        assert_eq!(rd.in_sets(), &want_in[..], "IN sets");
+        assert_eq!(changed, want_changed, "in_changed flags");
+        assert_eq!(passes, want_passes, "pass count");
+        let dd = DataDeps::from_reaching(prog, cfg, &rd);
+        for u in prog.stmt_ids() {
+            assert_eq!(
+                dd.deps(u),
+                scan_all_deps(prog, cfg, &rd, u),
+                "deps of {u:?}"
+            );
+        }
+        rd
+    }
+
+    /// The masked sweep against the dense oracle on every corpus program
+    /// and on progen structured and unstructured programs: cold, and
+    /// seeded across insert and delete edits exactly as an edit session
+    /// seeds it.
+    #[test]
+    fn sweep_matches_the_dense_oracle_cold_and_seeded() {
+        use jumpslice_progen::{gen_structured, gen_unstructured, GenConfig};
+        let mut programs: Vec<Program> = jumpslice_core::corpus::all()
+            .into_iter()
+            .map(|(_, p, _)| p)
+            .collect();
+        for seed in 0..4 {
+            for size in [60, 250] {
+                let cfg = GenConfig::sized(seed, size);
+                programs.push(gen_structured(&cfg));
+                programs.push(gen_unstructured(&cfg.with_jump_density(0.25)));
+            }
+        }
+        let mut rng = jumpslice_testkit::Rng::seed_from_u64(7);
+        let (mut seeded, mut inserts, mut deletes) = (0, 0, 0);
+        for prog in programs {
+            let (mut prog, mut cfg) = (prog.clone(), Cfg::build(&prog));
+            let empty = vec![BitSet::new(Sites::of(&prog).def_sites.len()); cfg.graph().len()];
+            let mut rd = assert_solves_like_dense(&prog, &cfg, empty);
+            let cold = ReachingDefs::compute(&prog, &cfg);
+            assert_eq!(cold.in_sets(), rd.in_sets());
+            for _ in 0..6 {
+                let edit = jumpslice_incr::random_edit(&mut rng, &prog);
+                let (dirty, is_insert) = match &edit {
+                    jumpslice_incr::Edit::InsertStmt { stmt, .. } => {
+                        (stmt.defined_var().map(str::to_owned), true)
+                    }
+                    // The session seeds only deletions of simple,
+                    // unlabeled, non-jump statements; other edits rebuild.
+                    jumpslice_incr::Edit::DeleteStmt { at } => match at.resolve(&prog) {
+                        Some(t)
+                            if !prog.stmt(t).kind.is_compound()
+                                && !prog.stmt(t).kind.is_jump()
+                                && prog.stmt(t).labels.is_empty() =>
+                        {
+                            (None, false)
+                        }
+                        _ => continue,
+                    },
+                    _ => continue,
+                };
+                let Ok(applied) = jumpslice_incr::apply_edit(&prog, &edit) else {
+                    continue;
+                };
+                let new = applied.prog;
+                let new_cfg = Cfg::build(&new);
+                let fwd = applied.map.fwd();
+                let dirty: Vec<Name> = dirty.and_then(|v| new.name(&v)).into_iter().collect();
+                let dirty_from = applied
+                    .touched
+                    .filter(|_| is_insert)
+                    .map(|t| new_cfg.node(t));
+                let sites = Sites::of(&new);
+                let seed = seed_in_sets(&new, &new_cfg, &cfg, &rd, &sites, fwd, &dirty, dirty_from);
+                let oracle = assert_solves_like_dense(&new, &new_cfg, seed.clone());
+                let (got, got_changed) = ReachingDefs::compute_seeded_tracked(
+                    &new, &new_cfg, &cfg, &rd, fwd, &dirty, dirty_from,
+                );
+                assert_eq!(got.in_sets(), oracle.in_sets(), "seeded IN sets");
+                let (_, mut want_changed, _) = dense_solve(&new, &new_cfg, seed);
+                let mut has_old = vec![false; new_cfg.graph().len()];
+                for &s in fwd.iter().flatten() {
+                    has_old[new_cfg.node(s).index()] = true;
+                }
+                for (flag, had) in want_changed.iter_mut().zip(has_old) {
+                    *flag |= !had;
+                }
+                assert_eq!(got_changed, want_changed, "seeded in_changed flags");
+                let cold = ReachingDefs::compute(&new, &new_cfg);
+                assert_eq!(cold.in_sets(), got.in_sets(), "seeded == cold fixpoint");
+                seeded += 1;
+                if is_insert {
+                    inserts += 1;
+                } else {
+                    deletes += 1;
+                }
+                (prog, cfg, rd) = (new, new_cfg, got);
+            }
+        }
+        assert!(seeded >= 40, "only {seeded} seeded solves ran");
+        assert!(
+            inserts > 0 && deletes > 0,
+            "{inserts} inserts, {deletes} deletes"
+        );
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //!
 //! This crate provides the graph substrate that every analysis in the
 //! workspace is built on: a compact adjacency-list [`DiGraph`], depth-first
-//! traversal orders, reachability, Tarjan strongly-connected components, and
-//! two independent dominator-tree constructions (the iterative
-//! Cooper–Harvey–Kennedy algorithm and the classic Lengauer–Tarjan
-//! algorithm). Postdominator trees — the structure at the heart of Agrawal's
-//! PLDI'94 slicing algorithm — are obtained by running either construction on
-//! the [reverse graph](DiGraph::reversed).
+//! traversal orders, reachability, Tarjan strongly-connected components and
+//! condensation over flat [`Rows`], and two independent dominator-tree
+//! constructions (the iterative Cooper–Harvey–Kennedy algorithm and the
+//! classic Lengauer–Tarjan algorithm). Postdominator trees — the structure
+//! at the heart of Agrawal's PLDI'94 slicing algorithm — are obtained by
+//! running either construction on the [reverse graph](DiGraph::reversed).
 //!
 //! # Examples
 //!
@@ -42,5 +42,5 @@ pub use brute::dominators_brute_force;
 pub use digraph::{DiGraph, NodeId};
 pub use dom::DomTree;
 pub use frontier::dominance_frontiers;
-pub use scc::{condensation, tarjan_scc};
+pub use scc::{condensation, Condensation, Rows};
 pub use traversal::{dfs_postorder, dfs_preorder, reachable_from, reverse_postorder};

@@ -548,7 +548,6 @@ const KNOWN_COUNTS: &[&str] = &[
     "serve.store.write",
     "store.corrupt_fallback",
     "analysis.parallel.threads",
-    "analysis.parallel.data_ranges",
     "closure.condensed.components",
     "closure.condensed.queries",
     "edges",

@@ -2,7 +2,8 @@
 //!
 //! Every slicer in the workspace bottoms out in the transitive closure of
 //! data ∪ control dependence. This module condenses the dependence graph
-//! once — [`condensation`] over Tarjan's components, O(V + E) — and
+//! once — [`condensation`] over Tarjan's components, O(V + E), run on flat
+//! `u32` rows read straight off the PDG's data and control lists — and
 //! precomputes no closure set. Closures are answered over the component
 //! DAG instead:
 //!
@@ -42,14 +43,14 @@
 
 use crate::Pdg;
 use jumpslice_dataflow::StmtSet;
-use jumpslice_graph::{condensation, DiGraph, NodeId};
+use jumpslice_graph::{condensation, Condensation, Rows};
 use jumpslice_lang::StmtId;
 use jumpslice_obs as obs;
 use std::sync::OnceLock;
 
 /// The condensed dependence graph of one PDG plus its memoized closures.
 ///
-/// Every table is one flat allocation (a `Rows`), and each direction's memo
+/// Every table is one flat allocation (a [`Rows`]), and each direction's memo
 /// slots are allocated on that direction's first query, so the engine adds
 /// tens of bytes per component to each PDG it rides on rather than several
 /// allocations per component.
@@ -70,31 +71,6 @@ pub struct ClosureIndex {
     forward: OnceLock<Box<[OnceLock<StmtSet>]>>,
 }
 
-/// A table of `u32` rows in one buffer: row `i` is
-/// `items[start[i]..start[i + 1]]`.
-#[derive(Clone, Debug)]
-struct Rows {
-    start: Vec<u32>,
-    items: Vec<u32>,
-}
-
-impl Rows {
-    fn new<'a>(rows: impl Iterator<Item = &'a [NodeId]>) -> Rows {
-        let mut start = vec![0];
-        let mut items = Vec::new();
-        for row in rows {
-            // `NodeId` indices are `u32`s already.
-            items.extend(row.iter().map(|v| v.index() as u32));
-            start.push(u32::try_from(items.len()).expect("a table holds fewer than 2^32 items"));
-        }
-        Rows { start, items }
-    }
-
-    fn row(&self, i: usize) -> &[u32] {
-        &self.items[self.start[i] as usize..self.start[i + 1] as usize]
-    }
-}
-
 /// Which way a closure follows the dependence edges.
 #[derive(Clone, Copy)]
 enum Dir {
@@ -112,30 +88,33 @@ impl ClosureIndex {
     /// trace sink.
     pub(crate) fn build(pdg: &Pdg) -> ClosureIndex {
         let _t = obs::phase(obs::Phase::ClosureIndexBuild);
-        let n = pdg.control().num_stmts();
+        let (data, control) = (pdg.data(), pdg.control());
+        let n = control.num_stmts();
 
         // The dependence graph: statement u → each statement it directly
-        // depends on.
-        let succs = (0..n)
-            .map(|u| {
-                let deps = pdg.deps(StmtId::from_index(u)).into_iter();
-                deps.map(|s| NodeId::new(s.index())).collect()
-            })
-            .collect();
-        let g = DiGraph::from_succs(succs).expect("`Pdg::deps` lists are duplicate-free");
-        let (dag, comp_of, members) = condensation(&g);
+        // depends on, in `Pdg::deps` order (data, then control not already
+        // listed).
+        let mut g = Rows::with_capacity(n, data.num_edges() + control.num_edges());
+        for u in (0..n).map(StmtId::from_index) {
+            let d = data.deps(u);
+            let c = control.deps(u).iter().filter(|c| !d.contains(c));
+            g.push_row(d.iter().chain(c).map(|s| s.index() as u32));
+        }
+        let Condensation {
+            comp_of,
+            members,
+            succs,
+        } = condensation(&g);
         let k = members.len();
         obs::record(|| obs::Event::Count {
             name: "closure.condensed.components",
             value: k as u64,
         });
-        let comps = || (0..k).map(NodeId::new);
         ClosureIndex {
-            // Component ids are below the statement count, a `u32`.
-            comp_of: comp_of.into_iter().map(|c| c as u32).collect(),
-            members: Rows::new(members.iter().map(Vec::as_slice)),
-            succs: Rows::new(comps().map(|c| dag.succs(c))),
-            preds: Rows::new(comps().map(|c| dag.preds(c))),
+            comp_of,
+            preds: succs.transpose(k),
+            members,
+            succs,
             backward: OnceLock::new(),
             forward: OnceLock::new(),
         }
@@ -143,7 +122,7 @@ impl ClosureIndex {
 
     /// Number of strongly connected components in the dependence graph.
     pub fn num_components(&self) -> usize {
-        self.members.start.len() - 1
+        self.members.len()
     }
 
     /// Dense statement-id bound the engine was built for.

@@ -257,6 +257,11 @@ impl ControlDeps {
             .flat_map(|(t, ps)| ps.iter().map(move |&p| (p, StmtId::from_index(t))))
     }
 
+    /// Total number of edges, excluding `Entry` edges.
+    pub fn num_edges(&self) -> usize {
+        self.deps.iter().map(Vec::len).sum()
+    }
+
     /// Number of statements in the underlying program (the dense id bound).
     pub fn num_stmts(&self) -> usize {
         self.deps.len()
@@ -306,7 +311,7 @@ impl Pdg {
         });
         jumpslice_obs::record(|| jumpslice_obs::Event::Count {
             name: "pdg.control_edges",
-            value: control.edges().count() as u64,
+            value: control.num_edges() as u64,
         });
         Pdg {
             data,
