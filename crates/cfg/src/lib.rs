@@ -34,7 +34,7 @@ mod dot;
 
 pub use dot::cfg_dot;
 
-use jumpslice_graph::{reachable_from, DiGraph, DomTree, NodeId};
+use jumpslice_graph::{can_reach, reachable_from, DiGraph, DomTree, NodeId};
 use jumpslice_lang::{Program, StmtId, StmtKind};
 
 /// What a flowgraph node stands for.
@@ -204,11 +204,16 @@ impl Cfg {
     /// genuinely infinite loops). The slicing algorithms require this; the
     /// program generator guarantees it.
     pub fn all_reach_exit(&self) -> bool {
-        let fwd = reachable_from(&self.graph, self.entry);
-        let back = reachable_from(&self.graph.reversed(), self.exit);
-        self.graph
-            .nodes()
-            .all(|n| !fwd[n.index()] || back[n.index()])
+        self.reachable_if_all_reach_exit().is_some()
+    }
+
+    /// Nodes reachable from `Entry`, or `None` when one of them cannot
+    /// reach `Exit` — [`Cfg::reachable`] and [`Cfg::all_reach_exit`] from
+    /// one forward walk and one walk over predecessor lists.
+    pub fn reachable_if_all_reach_exit(&self) -> Option<Vec<bool>> {
+        let fwd = self.reachable();
+        let back = can_reach(&self.graph, self.exit);
+        fwd.iter().zip(&back).all(|(&f, &b)| !f || b).then_some(fwd)
     }
 
     /// Nodes reachable from `Entry`.
@@ -589,6 +594,7 @@ mod tests {
         let p2 = parse("L: goto L; write(x);").unwrap();
         let cfg2 = Cfg::build(&p2);
         assert!(!cfg2.all_reach_exit());
+        assert_eq!(cfg2.reachable_if_all_reach_exit(), None);
     }
 
     #[test]
@@ -597,6 +603,8 @@ mod tests {
         let cfg = Cfg::build(&p);
         let reach = cfg.reachable();
         assert!(!reach[cfg.node(p.at_line(2)).index()]);
+        // Dead code does not count against reaching the exit.
+        assert_eq!(cfg.reachable_if_all_reach_exit(), Some(reach));
     }
 
     #[test]

@@ -160,11 +160,9 @@ impl<'p> Analysis<'p> {
     pub fn with_seed(prog: &'p Program, seed: AnalysisSeed) -> Analysis<'p> {
         let structure = Structure::of(prog);
         let cfg = seed.cfg.unwrap_or_else(|| Cfg::build(prog));
-        assert!(
-            cfg.all_reach_exit(),
-            "program has statements that cannot reach the exit; postdominators are undefined"
+        let live = cfg.reachable_if_all_reach_exit().expect(
+            "program has statements that cannot reach the exit; postdominators are undefined",
         );
-        let live = cfg.reachable();
         let has_dowhile = prog
             .stmt_ids()
             .any(|s| matches!(prog.stmt(s).kind, StmtKind::DoWhile { .. }));

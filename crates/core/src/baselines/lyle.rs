@@ -1,7 +1,7 @@
 //! Lyle's extremely conservative algorithm (paper, §5; [22]).
 
 use crate::{reassociate_labels, Analysis, Criterion, Slice};
-use jumpslice_graph::reachable_from;
+use jumpslice_graph::{can_reach, reachable_from};
 use jumpslice_lang::StmtId;
 
 /// Lyle's rule, as the paper characterizes it: once a statement `S` is in
@@ -29,7 +29,7 @@ pub fn lyle_slice(a: &Analysis<'_>, crit: &Criterion) -> Slice {
     let mut stmts = crate::conventional_slice(a, crit).stmts;
     let g = a.cfg().graph();
     // Nodes from which the criterion location is reachable.
-    let reaches_crit = reachable_from(&g.reversed(), a.cfg().node(crit.stmt));
+    let reaches_crit = can_reach(g, a.cfg().node(crit.stmt));
     let jumps: Vec<StmtId> = a
         .prog()
         .stmt_ids()

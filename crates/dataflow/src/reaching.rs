@@ -5,6 +5,7 @@ use jumpslice_cfg::Cfg;
 use jumpslice_graph::NodeId;
 use jumpslice_lang::{Name, Program, StmtId};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Dense numbering of the variables a program defines or uses.
 #[derive(Clone, Debug, Default)]
@@ -482,12 +483,18 @@ fn seed_in_sets(
 
 /// Data-dependence edges: `u` depends on `d` when a definition at `d`
 /// reaches a use of the same variable at `u`.
+///
+/// Only the forward lists are built eagerly. Slicing walks dependences
+/// backwards from a criterion, so the inverse index serves forward
+/// closures alone; it is derived on the first [`DataDeps::dependents`]
+/// call and kept from then on.
 #[derive(Clone, Debug)]
 pub struct DataDeps {
     /// For each statement, the definition statements it depends on (sorted).
     deps: Vec<Vec<StmtId>>,
-    /// Reverse direction: statements depending on each statement (sorted).
-    dependents: Vec<Vec<StmtId>>,
+    /// Reverse direction: statements depending on each statement (sorted),
+    /// built on first use.
+    dependents: OnceLock<Vec<Vec<StmtId>>>,
 }
 
 impl DataDeps {
@@ -504,34 +511,32 @@ impl DataDeps {
         Self::from_deps(prog.stmt_ids().map(|u| deps_of(prog, cfg, rd, u)).collect())
     }
 
-    /// Rebuilds the edge set from the forward direction only, deriving the
-    /// inverse index — the snapshot-restore constructor. `deps[i]` lists
-    /// the definitions statement `i` depends on; lists are sorted and
-    /// deduplicated here, so wire forms need not be trusted. Our own wire
-    /// forms always arrive strictly sorted, so the sort is guarded by a
-    /// single ordering scan — restore pays for it only on hostile bytes.
+    /// Rebuilds the edge set from the forward direction — the
+    /// snapshot-restore constructor. `deps[i]` lists the definitions
+    /// statement `i` depends on; lists are sorted and deduplicated here, so
+    /// wire forms need not be trusted. Our own wire forms always arrive
+    /// strictly sorted, so the sort is guarded by a single ordering scan —
+    /// restore pays for it only on hostile bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a listed definition is not a statement index, that is,
+    /// not below `deps.len()`.
     pub fn from_deps(mut deps: Vec<Vec<StmtId>>) -> DataDeps {
         let n = deps.len();
-        let mut counts = vec![0usize; n];
         for v in deps.iter_mut() {
             if !v.windows(2).all(|w| w[0] < w[1]) {
                 v.sort();
                 v.dedup();
             }
-            for d in v.iter() {
-                counts[d.index()] += 1;
+            if let Some(last) = v.last() {
+                assert!(last.index() < n, "dependence on {last:?} of {n} statements");
             }
         }
-        // Filling in ascending `u` over deduplicated forward lists leaves
-        // every reverse list strictly sorted — no post-pass needed.
-        let mut dependents: Vec<Vec<StmtId>> =
-            counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-        for (u, ds) in deps.iter().enumerate() {
-            for &d in ds {
-                dependents[d.index()].push(StmtId::from_index(u));
-            }
+        DataDeps {
+            deps,
+            dependents: OnceLock::new(),
         }
-        DataDeps { deps, dependents }
     }
 
     /// The definitions statement `s` depends on.
@@ -539,9 +544,10 @@ impl DataDeps {
         &self.deps[s.index()]
     }
 
-    /// The statements that depend on `s`.
+    /// The statements that depend on `s`. The first call builds the
+    /// inverse of every forward list, in time linear in the edges.
     pub fn dependents(&self, s: StmtId) -> &[StmtId] {
-        &self.dependents[s.index()]
+        &self.dependents.get_or_init(|| transpose(&self.deps))[s.index()]
     }
 
     /// All edges as `(def, use)` pairs.
@@ -626,10 +632,11 @@ impl DataDeps {
     }
 
     /// Recomputes the *incoming* edges of `u` from `rd` and replaces the
-    /// stored ones, fixing the inverse index in place (only the lists of
-    /// `u`'s old and new definitions change, so no full rebuild). This is
-    /// the data-dependence patch for an edit that changes only the uses of
-    /// one statement (an expression replacement): every other statement's
+    /// stored ones. An inverse index already built is fixed in place (only
+    /// the lists of `u`'s old and new definitions change, so no full
+    /// rebuild); one not yet built stays unbuilt. This is the
+    /// data-dependence patch for an edit that changes only the uses of one
+    /// statement (an expression replacement): every other statement's
     /// edges are untouched.
     /// Returns the number of edges now pointing into `u`.
     pub fn repoint_uses(
@@ -639,20 +646,39 @@ impl DataDeps {
         rd: &ReachingDefs,
         u: StmtId,
     ) -> usize {
-        for &d in &self.deps[u.index()] {
-            self.dependents[d.index()].retain(|&x| x != u);
-        }
         let new_deps = deps_of(prog, cfg, rd, u);
-        for &d in &new_deps {
-            let inv = &mut self.dependents[d.index()];
-            if let Err(at) = inv.binary_search(&u) {
-                inv.insert(at, u);
+        if let Some(dependents) = self.dependents.get_mut() {
+            for &d in &self.deps[u.index()] {
+                dependents[d.index()].retain(|&x| x != u);
+            }
+            for &d in &new_deps {
+                let inv = &mut dependents[d.index()];
+                if let Err(at) = inv.binary_search(&u) {
+                    inv.insert(at, u);
+                }
             }
         }
         let n = new_deps.len();
         self.deps[u.index()] = new_deps;
         n
     }
+}
+
+/// The inverse of the forward lists `deps`. Filling in ascending `u` over
+/// deduplicated forward lists leaves every reverse list strictly sorted —
+/// no post-pass needed.
+fn transpose(deps: &[Vec<StmtId>]) -> Vec<Vec<StmtId>> {
+    let mut counts = vec![0usize; deps.len()];
+    for d in deps.iter().flatten() {
+        counts[d.index()] += 1;
+    }
+    let mut dependents: Vec<Vec<StmtId>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
+    for (u, ds) in deps.iter().enumerate() {
+        for &d in ds {
+            dependents[d.index()].push(StmtId::from_index(u));
+        }
+    }
+    dependents
 }
 
 /// The definitions statement `u` depends on under `rd`: every reaching
@@ -772,6 +798,124 @@ mod tests {
             assert!(dd.dependents(d).contains(&u));
         }
         assert_eq!(dd.num_edges(), 3);
+    }
+
+    /// The inverse index the slow way: every forward edge `(d, u)`, listed
+    /// under `d` in ascending `u`.
+    fn eager_transpose(dd: &DataDeps, n: usize) -> Vec<Vec<StmtId>> {
+        let mut inv = vec![Vec::new(); n];
+        for u in (0..n).map(StmtId::from_index) {
+            for &d in dd.deps(u) {
+                inv[d.index()].push(u);
+            }
+        }
+        inv
+    }
+
+    fn assert_dependents_transpose(dd: &DataDeps, n: usize, what: &str) {
+        for (d, want) in eager_transpose(dd, n).iter().enumerate() {
+            let d = StmtId::from_index(d);
+            assert_eq!(dd.dependents(d), &want[..], "{what}: dependents of {d:?}");
+        }
+    }
+
+    /// The lazily built inverse equals the eager transpose of the forward
+    /// lists whichever way the edges were made: computed, restored,
+    /// patched after an edit, or repointed with or without the inverse
+    /// built first. Two threads forcing it at once see the same lists.
+    #[test]
+    fn lazy_dependents_equal_the_eager_transpose() {
+        use jumpslice_incr::{apply_edit, random_edit, Edit};
+        use jumpslice_progen::{gen_structured, gen_unstructured, GenConfig};
+        let mut programs: Vec<Program> = jumpslice_core::corpus::all()
+            .into_iter()
+            .map(|(_, p, _)| p)
+            .collect();
+        for seed in 0..3 {
+            let cfg = GenConfig::sized(seed, 120);
+            programs.push(gen_structured(&cfg));
+            programs.push(gen_unstructured(&cfg.with_jump_density(0.25)));
+        }
+        let mut rng = jumpslice_testkit::Rng::seed_from_u64(11);
+        let (mut patched, mut repointed) = (0, 0);
+        for prog in &programs {
+            let n = prog.len();
+            let cfg = Cfg::build(prog);
+            let rd = ReachingDefs::compute(prog, &cfg);
+            let dd = DataDeps::from_reaching(prog, &cfg, &rd);
+            let restored =
+                DataDeps::from_deps(prog.stmt_ids().map(|s| dd.deps(s).to_vec()).collect());
+            let (a, b) = std::thread::scope(|scope| {
+                let force = || {
+                    prog.stmt_ids()
+                        .map(|s| restored.dependents(s).to_vec())
+                        .collect::<Vec<_>>()
+                };
+                let a = scope.spawn(force);
+                let b = scope.spawn(force);
+                (a.join().unwrap(), b.join().unwrap())
+            });
+            assert_eq!(a, b, "two threads forcing the inverse");
+            assert_eq!(a, eager_transpose(&dd, n), "from_deps");
+            assert_dependents_transpose(&dd, n, "from_reaching");
+
+            for _ in 0..8 {
+                let edit = random_edit(&mut rng, prog);
+                let Ok(applied) = apply_edit(prog, &edit) else {
+                    continue;
+                };
+                let new = &applied.prog;
+                let new_cfg = Cfg::build(new);
+                let fwd = applied.map.fwd();
+                match edit {
+                    Edit::InsertStmt { .. } | Edit::DeleteStmt { .. } => {
+                        // A cold solve is a valid (if unhelpful) seeded
+                        // result: every node flagged, no dirty region.
+                        let rd = ReachingDefs::compute(new, &new_cfg);
+                        let flags = vec![true; new_cfg.graph().len()];
+                        let (p, _) = dd.patch_seeded(new, &new_cfg, &rd, fwd, &flags, &[], None);
+                        assert_dependents_transpose(&p, new.len(), "patch_seeded");
+                        let fresh = DataDeps::from_reaching(new, &new_cfg, &rd);
+                        for s in new.stmt_ids() {
+                            assert_eq!(p.deps(s), fresh.deps(s), "patched deps of {s:?}");
+                        }
+                        patched += 1;
+                    }
+                    Edit::ReplaceExpr { .. } => {
+                        let Some(u) = applied.touched else { continue };
+                        if fwd
+                            .iter()
+                            .enumerate()
+                            .any(|(i, f)| f.map(StmtId::index) != Some(i))
+                        {
+                            continue;
+                        }
+                        let rd = ReachingDefs::compute(new, &new_cfg);
+                        let fresh = DataDeps::from_reaching(new, &new_cfg, &rd);
+                        for built_first in [false, true] {
+                            let mut dd = DataDeps::from_deps(
+                                prog.stmt_ids().map(|s| dd.deps(s).to_vec()).collect(),
+                            );
+                            if built_first {
+                                dd.dependents(u);
+                            }
+                            dd.repoint_uses(new, &new_cfg, &rd, u);
+                            assert_dependents_transpose(&dd, n, "repoint_uses");
+                            for s in new.stmt_ids() {
+                                assert_eq!(dd.deps(s), fresh.deps(s), "repointed deps of {s:?}");
+                                assert_eq!(dd.dependents(s), fresh.dependents(s));
+                            }
+                        }
+                        repointed += 1;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        assert!(
+            patched >= 10 && repointed >= 10,
+            "{patched} patched, {repointed} repointed"
+        );
     }
 
     #[test]
@@ -1081,6 +1225,55 @@ mod tests {
         rd
     }
 
+    /// Programs whose flowgraphs have self-loops, which the generators
+    /// never draw: a conditional goto to its own label after definitions
+    /// and inside loops, and empty loop bodies; then generated programs
+    /// with such self-loops spliced in between statements.
+    fn self_loop_programs() -> Vec<Program> {
+        use jumpslice_progen::{gen_structured, gen_unstructured, GenConfig};
+        let mut out: Vec<Program> = [
+            "read(x); x = x - 1; L: if (x > 0) goto L; write(x);",
+            "read(n); s = 0; i = 0;
+             while (i < n) { i = i + 1; M: if (i > s) goto M; s = s + i; }
+             write(s);",
+            "read(x); y = 0; do { y = y + x; K: if (y < x) goto K; x = x - 1; } while (x > 0); write(y);",
+            "read(x); while (x > 0) {} do {} while (x < 0); y = x; write(y);",
+            "read(x); A: if (x > 0) goto A; x = 1; B: if (x > 1) goto B; write(x);",
+        ]
+        .iter()
+        .map(|src| parse(src).unwrap())
+        .collect();
+        let mut rng = jumpslice_testkit::Rng::seed_from_u64(3);
+        for seed in 0..4 {
+            let cfg = GenConfig::sized(seed, 120);
+            for p in [
+                gen_structured(&cfg),
+                gen_unstructured(&cfg.with_jump_density(0.25)),
+            ] {
+                let mut text = String::new();
+                for (k, line) in jumpslice_lang::print_program(&p).lines().enumerate() {
+                    let t = line.trim_start();
+                    let between = !["}", "case", "default"].iter().any(|w| t.starts_with(w));
+                    if between && rng.gen_bool(0.1) {
+                        text.push_str(&format!("S{k}: if (v0 > {k}) goto S{k};\n"));
+                    }
+                    text.push_str(line);
+                    text.push('\n');
+                }
+                out.push(parse(&text).unwrap_or_else(|e| panic!("{e}\n{text}")));
+            }
+        }
+        for p in &out {
+            let g = Cfg::build(p);
+            let g = g.graph();
+            assert!(
+                g.nodes().any(|v| g.succs(v).contains(&v)),
+                "no self-loop in {p:?}"
+            );
+        }
+        out
+    }
+
     /// The masked sweep against the dense oracle on every corpus program
     /// and on progen structured and unstructured programs: cold, and
     /// seeded across insert and delete edits exactly as an edit session
@@ -1099,6 +1292,7 @@ mod tests {
                 programs.push(gen_unstructured(&cfg.with_jump_density(0.25)));
             }
         }
+        programs.extend(self_loop_programs());
         let mut rng = jumpslice_testkit::Rng::seed_from_u64(7);
         let (mut seeded, mut inserts, mut deletes) = (0, 0, 0);
         for prog in programs {

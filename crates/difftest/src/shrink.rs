@@ -37,10 +37,9 @@ pub fn is_valid_candidate(p: &Program) -> bool {
         return false;
     }
     let c = Cfg::build(p);
-    if !c.all_reach_exit() {
+    let Some(live) = c.reachable_if_all_reach_exit() else {
         return false;
-    }
-    let live = c.reachable();
+    };
     p.stmt_ids()
         .any(|s| matches!(p.stmt(s).kind, StmtKind::Write { .. }) && live[c.node(s).index()])
 }

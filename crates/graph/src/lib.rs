@@ -43,4 +43,4 @@ pub use digraph::{DiGraph, NodeId};
 pub use dom::DomTree;
 pub use frontier::dominance_frontiers;
 pub use scc::{condensation, Condensation, Rows};
-pub use traversal::{dfs_postorder, dfs_preorder, reachable_from, reverse_postorder};
+pub use traversal::{can_reach, dfs_postorder, dfs_preorder, reachable_from, reverse_postorder};

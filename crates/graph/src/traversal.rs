@@ -14,11 +14,31 @@ use crate::{DiGraph, NodeId};
 /// assert_eq!(r, vec![true, true, false]);
 /// ```
 pub fn reachable_from(g: &DiGraph, root: NodeId) -> Vec<bool> {
-    let mut seen = vec![false; g.len()];
+    flood(g.len(), root, |n| g.succs(n))
+}
+
+/// Returns a boolean mask of nodes that can reach `target` (inclusive):
+/// [`reachable_from`] over predecessor lists, without building the
+/// reversed graph.
+///
+/// # Examples
+///
+/// ```
+/// use jumpslice_graph::{can_reach, DiGraph};
+/// let mut g = DiGraph::with_nodes(3);
+/// g.add_edge(0.into(), 1.into());
+/// assert_eq!(can_reach(&g, 1.into()), vec![true, true, false]);
+/// ```
+pub fn can_reach(g: &DiGraph, target: NodeId) -> Vec<bool> {
+    flood(g.len(), target, |n| g.preds(n))
+}
+
+fn flood<'g>(len: usize, root: NodeId, next: impl Fn(NodeId) -> &'g [NodeId]) -> Vec<bool> {
+    let mut seen = vec![false; len];
     let mut stack = vec![root];
     seen[root.index()] = true;
     while let Some(n) = stack.pop() {
-        for &m in g.succs(n) {
+        for &m in next(n) {
             if !seen[m.index()] {
                 seen[m.index()] = true;
                 stack.push(m);

@@ -122,6 +122,20 @@ pub enum BinOp {
 }
 
 impl BinOp {
+    /// Binding strength, in C's order: `||` loosest, then `&&`, equality,
+    /// relational, additive, and multiplicative operators tightest. Every
+    /// level associates to the left.
+    pub(crate) fn precedence(self) -> u8 {
+        match self {
+            BinOp::Or => 1,
+            BinOp::And => 2,
+            BinOp::Eq | BinOp::Ne => 3,
+            BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => 4,
+            BinOp::Add | BinOp::Sub => 5,
+            BinOp::Mul | BinOp::Div | BinOp::Mod => 6,
+        }
+    }
+
     /// The C surface syntax of the operator.
     pub fn symbol(self) -> &'static str {
         match self {

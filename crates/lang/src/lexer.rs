@@ -1,4 +1,10 @@
-//! Hand-rolled lexer for the mini-C language.
+//! Hand-rolled byte-level lexer for the mini-C language.
+//!
+//! Tokens borrow from the source text: an identifier is a `&'src str`
+//! slice of it, so a [`Token`] is `Copy` and lexing allocates nothing but
+//! the message of an error. Every token of the language is ASCII, so the
+//! lexer walks bytes; non-ASCII text can only sit in a comment, be Unicode
+//! whitespace, or be an error. Columns still count chars, not bytes.
 
 use crate::error::{Error, ErrorKind};
 use std::fmt;
@@ -8,17 +14,20 @@ use std::fmt;
 pub struct Span {
     /// 1-based line.
     pub line: u32,
-    /// 1-based column.
+    /// 1-based column, counted in chars.
     pub col: u32,
 }
 
-/// The lexical categories of the language.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TokenKind {
+/// The lexical categories of the language. An identifier borrows its text
+/// from the source the [`Lexer`] reads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TokenKind<'src> {
     /// Identifier (variable, function, or label name).
-    Ident(String),
-    /// Integer literal.
-    Int(i64),
+    Ident(&'src str),
+    /// Integer literal: its magnitude, a sign being a separate `-` token.
+    /// It fits `i64`, except that `9223372036854775808`, the magnitude of
+    /// `i64::MIN`, is accepted right after a `-`.
+    Int(u64),
     /// Keywords.
     KwIf,
     /// `else`
@@ -93,7 +102,13 @@ pub enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+/// The length of the run of bytes satisfying `keep` at the start of
+/// `bytes`.
+fn run_len(bytes: &[u8], keep: impl Fn(u8) -> bool) -> usize {
+    bytes.iter().position(|&b| !keep(b)).unwrap_or(bytes.len())
+}
+
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Ident(s) => write!(f, "identifier `{s}`"),
@@ -139,17 +154,18 @@ impl fmt::Display for TokenKind {
 }
 
 /// A token with its source location.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Token {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Token<'src> {
     /// The token category and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'src>,
     /// Where the token starts.
     pub span: Span,
 }
 
-/// Streaming lexer over source text.
+/// Streaming lexer over source text, yielding tokens that borrow from it.
 ///
-/// Supports `// line` and `/* block */` comments.
+/// Supports `// line` and `/* block */` comments; an unterminated block
+/// comment runs to the end of the input.
 ///
 /// # Examples
 ///
@@ -157,75 +173,95 @@ pub struct Token {
 /// use jumpslice_lang::{Lexer, TokenKind};
 /// let tokens = Lexer::new("x = 1; // init").tokenize()?;
 /// assert_eq!(tokens.len(), 5); // x, =, 1, ;, EOF
+/// assert_eq!(tokens[0].kind, TokenKind::Ident("x"));
 /// assert_eq!(tokens[1].kind, TokenKind::Assign);
 /// # Ok::<(), jumpslice_lang::Error>(())
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Lexer<'src> {
-    chars: std::iter::Peekable<std::str::Chars<'src>>,
+    src: &'src str,
+    /// Byte offset of the next unread char.
+    pos: usize,
     line: u32,
     col: u32,
+    /// Whether the last token was `-`: only then may a literal be 2^63.
+    after_minus: bool,
 }
 
 impl<'src> Lexer<'src> {
     /// Creates a lexer over `src`.
     pub fn new(src: &'src str) -> Self {
         Lexer {
-            chars: src.chars().peekable(),
+            src,
+            pos: 0,
             line: 1,
             col: 1,
+            after_minus: false,
         }
     }
 
-    fn bump(&mut self) -> Option<char> {
-        let c = self.chars.next()?;
-        if c == '\n' {
-            self.line += 1;
+    /// Moves to byte offset `end` on the current line, counting the chars
+    /// passed: a UTF-8 continuation byte starts none.
+    fn advance_to(&mut self, end: usize) {
+        let passed = &self.src.as_bytes()[self.pos..end];
+        self.col += passed.iter().filter(|&&b| b & 0xC0 != 0x80).count() as u32;
+        self.pos = end;
+    }
+
+    /// Moves to byte offset `end`, tracking every newline passed.
+    fn advance_lines_to(&mut self, end: usize) {
+        let passed = &self.src.as_bytes()[self.pos..end];
+        if let Some(last) = passed.iter().rposition(|&b| b == b'\n') {
+            self.line += passed.iter().filter(|&&b| b == b'\n').count() as u32;
             self.col = 1;
-        } else {
-            self.col += 1;
+            self.pos += last + 1;
         }
-        Some(c)
+        self.advance_to(end);
     }
 
-    fn peek(&mut self) -> Option<char> {
-        self.chars.peek().copied()
-    }
-
-    fn skip_trivia(&mut self) -> Result<(), Error> {
-        loop {
-            match self.peek() {
-                Some(c) if c.is_whitespace() => {
-                    self.bump();
+    fn skip_trivia(&mut self) {
+        let bytes = self.src.as_bytes();
+        while let Some(&b) = bytes.get(self.pos) {
+            // Most tokens follow no trivia, or one space.
+            if b > b' ' && b != b'/' && b.is_ascii() {
+                return;
+            }
+            match b {
+                b'\n' => {
+                    self.pos += 1;
+                    self.line += 1;
+                    self.col = 1;
                 }
-                Some('/') => {
-                    // Maybe a comment: look one further by cloning cheaply.
-                    let mut probe = self.chars.clone();
-                    probe.next();
-                    match probe.peek() {
-                        Some('/') => {
-                            while let Some(c) = self.bump() {
-                                if c == '\n' {
-                                    break;
-                                }
-                            }
-                        }
-                        Some('*') => {
-                            self.bump();
-                            self.bump();
-                            let mut prev = '\0';
-                            loop {
-                                match self.bump() {
-                                    Some('/') if prev == '*' => break,
-                                    Some(c) => prev = c,
-                                    None => return Ok(()), // unterminated: treat as EOF
-                                }
-                            }
-                        }
-                        _ => return Ok(()),
+                b'/' => {
+                    let end = match bytes.get(self.pos + 1) {
+                        // Through the newline, or to the end of the input.
+                        Some(b'/') => bytes[self.pos..]
+                            .iter()
+                            .position(|&b| b == b'\n')
+                            .map_or(bytes.len(), |i| self.pos + i + 1),
+                        // The closing `*/` may not share the opening `*`.
+                        Some(b'*') => self.src[self.pos + 2..]
+                            .find("*/")
+                            .map_or(bytes.len(), |i| self.pos + 2 + i + 2),
+                        _ => return,
+                    };
+                    self.advance_lines_to(end);
+                }
+                _ if b.is_ascii() => {
+                    if !char::from(b).is_whitespace() {
+                        return;
                     }
+                    self.pos += 1;
+                    self.col += 1;
                 }
-                _ => return Ok(()),
+                _ => {
+                    let c = self.src[self.pos..].chars().next().expect("in bounds");
+                    if !c.is_whitespace() {
+                        return;
+                    }
+                    self.pos += c.len_utf8();
+                    self.col += 1;
+                }
             }
         }
     }
@@ -235,142 +271,102 @@ impl<'src> Lexer<'src> {
     /// # Errors
     ///
     /// Returns an error on characters outside the language or on integer
-    /// literals that overflow `i64`.
-    pub fn next_token(&mut self) -> Result<Token, Error> {
-        self.skip_trivia()?;
+    /// literals that overflow `i64` (the one exception is documented on
+    /// [`TokenKind::Int`]). The offending text is skipped, so lexing may
+    /// resume after an error.
+    pub fn next_token(&mut self) -> Result<Token<'src>, Error> {
+        use TokenKind::*;
+        self.skip_trivia();
         let span = Span {
             line: self.line,
             col: self.col,
         };
-        let tok = |kind| Ok(Token { kind, span });
-        let c = match self.bump() {
-            None => return tok(TokenKind::Eof),
-            Some(c) => c,
+        let bytes = self.src.as_bytes();
+        let start = self.pos;
+        let Some(&b) = bytes.get(start) else {
+            return Ok(Token { kind: Eof, span });
         };
-        match c {
-            '(' => tok(TokenKind::LParen),
-            ')' => tok(TokenKind::RParen),
-            '{' => tok(TokenKind::LBrace),
-            '}' => tok(TokenKind::RBrace),
-            ';' => tok(TokenKind::Semi),
-            ':' => tok(TokenKind::Colon),
-            ',' => tok(TokenKind::Comma),
-            '+' => tok(TokenKind::Plus),
-            '-' => tok(TokenKind::Minus),
-            '*' => tok(TokenKind::Star),
-            '/' => tok(TokenKind::Slash),
-            '%' => tok(TokenKind::Percent),
-            '=' => {
-                if self.peek() == Some('=') {
-                    self.bump();
-                    tok(TokenKind::EqEq)
-                } else {
-                    tok(TokenKind::Assign)
-                }
+        let next = bytes.get(start + 1).copied();
+        let either = |second: u8, two, one| {
+            if next == Some(second) {
+                (two, 2)
+            } else {
+                (one, 1)
             }
-            '!' => {
-                if self.peek() == Some('=') {
-                    self.bump();
-                    tok(TokenKind::NotEq)
-                } else {
-                    tok(TokenKind::Bang)
-                }
-            }
-            '<' => {
-                if self.peek() == Some('=') {
-                    self.bump();
-                    tok(TokenKind::Le)
-                } else {
-                    tok(TokenKind::Lt)
-                }
-            }
-            '>' => {
-                if self.peek() == Some('=') {
-                    self.bump();
-                    tok(TokenKind::Ge)
-                } else {
-                    tok(TokenKind::Gt)
-                }
-            }
-            '&' => {
-                if self.peek() == Some('&') {
-                    self.bump();
-                    tok(TokenKind::AndAnd)
-                } else {
-                    Err(Error::new(
-                        ErrorKind::UnexpectedChar('&'),
-                        span.line,
-                        span.col,
-                    ))
-                }
-            }
-            '|' => {
-                if self.peek() == Some('|') {
-                    self.bump();
-                    tok(TokenKind::OrOr)
-                } else {
-                    Err(Error::new(
-                        ErrorKind::UnexpectedChar('|'),
-                        span.line,
-                        span.col,
-                    ))
-                }
-            }
-            c if c.is_ascii_digit() => {
-                let mut text = String::new();
-                text.push(c);
-                while let Some(d) = self.peek() {
-                    if d.is_ascii_digit() {
-                        text.push(d);
-                        self.bump();
-                    } else {
-                        break;
+        };
+        let (kind, len) = match b {
+            b'(' => (LParen, 1),
+            b')' => (RParen, 1),
+            b'{' => (LBrace, 1),
+            b'}' => (RBrace, 1),
+            b';' => (Semi, 1),
+            b':' => (Colon, 1),
+            b',' => (Comma, 1),
+            b'+' => (Plus, 1),
+            b'-' => (Minus, 1),
+            b'*' => (Star, 1),
+            b'/' => (Slash, 1),
+            b'%' => (Percent, 1),
+            b'=' => either(b'=', EqEq, Assign),
+            b'!' => either(b'=', NotEq, Bang),
+            b'<' => either(b'=', Le, Lt),
+            b'>' => either(b'=', Ge, Gt),
+            b'&' if next == Some(b'&') => (AndAnd, 2),
+            b'|' if next == Some(b'|') => (OrOr, 2),
+            b'0'..=b'9' => {
+                let len = run_len(&bytes[start..], |b| b.is_ascii_digit());
+                let text = &self.src[start..start + len];
+                let value = text.bytes().try_fold(0u64, |acc, d| {
+                    acc.checked_mul(10)?.checked_add(u64::from(d - b'0'))
+                });
+                self.pos += len;
+                self.col += len as u32;
+                return match value {
+                    Some(v) if v <= i64::MAX as u64 || (v == 1 << 63 && self.after_minus) => {
+                        self.after_minus = false;
+                        Ok(Token { kind: Int(v), span })
                     }
-                }
-                match text.parse::<i64>() {
-                    Ok(n) => tok(TokenKind::Int(n)),
-                    Err(_) => Err(Error::new(
-                        ErrorKind::IntOverflow(text),
+                    _ => Err(Error::new(
+                        ErrorKind::IntOverflow(text.to_owned()),
                         span.line,
                         span.col,
                     )),
-                }
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut text = String::new();
-                text.push(c);
-                while let Some(d) = self.peek() {
-                    if d.is_ascii_alphanumeric() || d == '_' {
-                        text.push(d);
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                let kind = match text.as_str() {
-                    "if" => TokenKind::KwIf,
-                    "else" => TokenKind::KwElse,
-                    "while" => TokenKind::KwWhile,
-                    "do" => TokenKind::KwDo,
-                    "switch" => TokenKind::KwSwitch,
-                    "case" => TokenKind::KwCase,
-                    "default" => TokenKind::KwDefault,
-                    "goto" => TokenKind::KwGoto,
-                    "break" => TokenKind::KwBreak,
-                    "continue" => TokenKind::KwContinue,
-                    "return" => TokenKind::KwReturn,
-                    "read" => TokenKind::KwRead,
-                    "write" => TokenKind::KwWrite,
-                    _ => TokenKind::Ident(text),
                 };
-                tok(kind)
             }
-            other => Err(Error::new(
-                ErrorKind::UnexpectedChar(other),
-                span.line,
-                span.col,
-            )),
-        }
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                let len = run_len(&bytes[start..], |b| b.is_ascii_alphanumeric() || b == b'_');
+                let kind = match &self.src[start..start + len] {
+                    "if" => KwIf,
+                    "else" => KwElse,
+                    "while" => KwWhile,
+                    "do" => KwDo,
+                    "switch" => KwSwitch,
+                    "case" => KwCase,
+                    "default" => KwDefault,
+                    "goto" => KwGoto,
+                    "break" => KwBreak,
+                    "continue" => KwContinue,
+                    "return" => KwReturn,
+                    "read" => KwRead,
+                    "write" => KwWrite,
+                    text => Ident(text),
+                };
+                (kind, len)
+            }
+            _ => {
+                let c = self.src[start..].chars().next().expect("in bounds");
+                self.advance_to(start + c.len_utf8());
+                return Err(Error::new(
+                    ErrorKind::UnexpectedChar(c),
+                    span.line,
+                    span.col,
+                ));
+            }
+        };
+        self.pos += len;
+        self.col += len as u32;
+        self.after_minus = matches!(kind, Minus);
+        Ok(Token { kind, span })
     }
 
     /// Tokenizes the entire input (including the final [`TokenKind::Eof`]).
@@ -378,13 +374,12 @@ impl<'src> Lexer<'src> {
     /// # Errors
     ///
     /// Propagates the first lexical error.
-    pub fn tokenize(mut self) -> Result<Vec<Token>, Error> {
+    pub fn tokenize(mut self) -> Result<Vec<Token<'src>>, Error> {
         let mut out = Vec::new();
         loop {
             let t = self.next_token()?;
-            let done = t.kind == TokenKind::Eof;
             out.push(t);
-            if done {
+            if t.kind == TokenKind::Eof {
                 return Ok(out);
             }
         }
@@ -395,7 +390,7 @@ impl<'src> Lexer<'src> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         Lexer::new(src)
             .tokenize()
             .unwrap()
@@ -411,10 +406,10 @@ mod tests {
             ks,
             vec![
                 TokenKind::KwIf,
-                TokenKind::Ident("ifx".into()),
+                TokenKind::Ident("ifx"),
                 TokenKind::KwGoto,
-                TokenKind::Ident("L3".into()),
-                TokenKind::Ident("eof".into()),
+                TokenKind::Ident("L3"),
+                TokenKind::Ident("eof"),
                 TokenKind::Eof,
             ]
         );
@@ -447,7 +442,7 @@ mod tests {
         assert_eq!(
             ks,
             vec![
-                TokenKind::Ident("x".into()),
+                TokenKind::Ident("x"),
                 TokenKind::Assign,
                 TokenKind::Int(1),
                 TokenKind::Semi,
@@ -461,6 +456,80 @@ mod tests {
         let toks = Lexer::new("x\n  y").tokenize().unwrap();
         assert_eq!(toks[0].span, Span { line: 1, col: 1 });
         assert_eq!(toks[1].span, Span { line: 2, col: 3 });
+    }
+
+    fn spans(src: &str) -> Vec<(u32, u32)> {
+        Lexer::new(src)
+            .tokenize()
+            .unwrap()
+            .iter()
+            .map(|t| (t.span.line, t.span.col))
+            .collect()
+    }
+
+    #[test]
+    fn columns_count_chars_after_non_ascii_trivia() {
+        // `é`, `ü` and `日本` are 2, 2 and 6 bytes but one column per char;
+        // U+3000 and U+00A0 are Unicode whitespace.
+        assert_eq!(
+            spans("/* é */ x // ü\n\u{3000}y\u{a0}="),
+            vec![(1, 9), (2, 2), (2, 4), (2, 5)]
+        );
+        // A block comment spanning lines leaves the column counted from
+        // its last newline; a line comment at the end moves only the EOF.
+        assert_eq!(spans("/* 日本\n ü */ x // ü"), vec![(2, 7), (2, 13)]);
+        // An unterminated block comment swallows the rest of the input.
+        assert_eq!(spans("x /* é\n y"), vec![(1, 1), (2, 3)]);
+    }
+
+    #[test]
+    fn spans_hold_with_tabs_and_crlf() {
+        // A tab and a carriage return are one column each; only `\n`
+        // starts a line.
+        assert_eq!(
+            spans("x\t=\r\n\ty;\r\n"),
+            vec![(1, 1), (1, 3), (2, 2), (2, 3), (3, 1)]
+        );
+        assert_eq!(spans("a\rb"), vec![(1, 1), (1, 3), (1, 4)]);
+    }
+
+    #[test]
+    fn min_magnitude_lexes_only_after_minus() {
+        let min = TokenKind::Int(1 << 63);
+        assert_eq!(kinds("-9223372036854775808")[1], min);
+        assert_eq!(kinds("x - /* c */ 9223372036854775808")[2], min);
+        for src in [
+            "9223372036854775808",
+            "-9223372036854775809",
+            "(-)9223372036854775808",
+        ] {
+            let err = Lexer::new(src).tokenize().unwrap_err();
+            assert!(matches!(err.kind, ErrorKind::IntOverflow(_)), "{src}");
+        }
+        assert_eq!(
+            kinds("9223372036854775807")[0],
+            TokenKind::Int(i64::MAX as u64)
+        );
+    }
+
+    #[test]
+    fn lexing_resumes_after_an_error() {
+        let mut lexer = Lexer::new("@é 99999999999999999999 x");
+        assert_eq!(
+            lexer.next_token().unwrap_err().kind,
+            ErrorKind::UnexpectedChar('@')
+        );
+        assert_eq!(
+            lexer.next_token().unwrap_err().kind,
+            ErrorKind::UnexpectedChar('é')
+        );
+        let err = lexer.next_token().unwrap_err();
+        assert_eq!((err.line, err.col), (1, 4));
+        let x = lexer.next_token().unwrap();
+        assert_eq!(
+            (x.kind, x.span),
+            (TokenKind::Ident("x"), Span { line: 1, col: 25 })
+        );
     }
 
     #[test]

@@ -1,4 +1,8 @@
 //! Recursive-descent parser producing a validated [`Program`].
+//!
+//! The parser pulls tokens from the [`Lexer`] on demand and never clones
+//! one: tokens are `Copy` and identifiers borrow the source, so a name is
+//! copied once, when the interner first sees it.
 
 use crate::ast::*;
 use crate::error::{Error, ErrorKind};
@@ -11,7 +15,8 @@ use crate::validate::validate;
 ///
 /// Returns the first lexical, syntactic, or semantic error (undefined or
 /// duplicate labels, `break`/`continue` outside their contexts, duplicate
-/// `case` values).
+/// `case` values), in that order of precedence: a lexical error anywhere
+/// in the text is reported before any syntax error.
 ///
 /// # Examples
 ///
@@ -22,69 +27,119 @@ use crate::validate::validate;
 /// # Ok::<(), jumpslice_lang::Error>(())
 /// ```
 pub fn parse(src: &str) -> Result<Program, Error> {
-    let tokens = Lexer::new(src).tokenize()?;
     let mut p = Parser {
-        tokens,
-        pos: 0,
+        lexer: Lexer::new(src),
+        tok: Token {
+            kind: TokenKind::Eof,
+            span: Span { line: 1, col: 1 },
+        },
+        lex_error: None,
         prog: Program::default(),
     };
-    let mut body = Vec::new();
-    while !p.at(&TokenKind::Eof) {
-        body.push(p.parse_stmt()?);
+    p.bump();
+    let body = p.parse_body();
+    match (body, p.lex_error.take()) {
+        // An overflowing literal is the earliest lexical error: every
+        // token before it lexed cleanly.
+        (Err(e), _) if matches!(e.kind, ErrorKind::IntOverflow(_)) => Err(e),
+        (_, Some(e)) => Err(e),
+        (Err(e), None) => Err(p.first_lex_error().unwrap_or(e)),
+        (Ok(body), None) => {
+            p.prog.body = body;
+            validate(&mut p.prog)?;
+            Ok(p.prog)
+        }
     }
-    p.prog.body = body;
-    validate(&mut p.prog)?;
-    Ok(p.prog)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+struct Parser<'src> {
+    lexer: Lexer<'src>,
+    /// The current token; `lexer` stands just past it.
+    tok: Token<'src>,
+    /// The lexical error that ended the token stream, if any: the stream
+    /// then reads as end of input, and [`parse`] reports this error.
+    lex_error: Option<Error>,
     prog: Program,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos]
-    }
-
-    fn peek2(&self) -> &TokenKind {
-        self.tokens
-            .get(self.pos + 1)
-            .map(|t| &t.kind)
-            .unwrap_or(&TokenKind::Eof)
-    }
-
-    fn at(&self, kind: &TokenKind) -> bool {
-        &self.peek().kind == kind
-    }
-
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
+impl<'src> Parser<'src> {
+    /// The next token from the lexer; after a lexical error, end of input.
+    fn lex(&mut self) -> Token<'src> {
+        if self.lex_error.is_none() {
+            match self.lexer.next_token() {
+                Ok(t) => return t,
+                Err(e) => self.lex_error = Some(e),
+            }
         }
-        t
+        Token {
+            kind: TokenKind::Eof,
+            span: self.tok.span,
+        }
     }
 
-    fn expect(&mut self, kind: TokenKind) -> Result<Token, Error> {
-        if self.at(&kind) {
-            Ok(self.bump())
+    /// Lexes the rest of the input after a syntax error: a lexical error
+    /// anywhere takes precedence over it.
+    fn first_lex_error(&mut self) -> Option<Error> {
+        loop {
+            match self.lexer.next_token() {
+                Ok(t) if t.kind == TokenKind::Eof => return None,
+                Ok(_) => {}
+                Err(e) => return Some(e),
+            }
+        }
+    }
+
+    /// Whether the current token is of `kind`'s category (payloads are
+    /// not compared).
+    fn at(&self, kind: TokenKind<'_>) -> bool {
+        std::mem::discriminant(&self.tok.kind) == std::mem::discriminant(&kind)
+    }
+
+    /// The kinds of the `N` tokens after the current one, lexed by a copy
+    /// of the lexer; a lexical error reads as end of input.
+    fn lookahead<const N: usize>(&self) -> [TokenKind<'src>; N] {
+        let mut lexer = self.lexer.clone();
+        std::array::from_fn(|_| lexer.next_token().map_or(TokenKind::Eof, |t| t.kind))
+    }
+
+    fn bump(&mut self) {
+        self.tok = self.lex();
+    }
+
+    fn expect(&mut self, kind: TokenKind<'static>) -> Result<(), Error> {
+        if self.at(kind) {
+            self.bump();
+            Ok(())
         } else {
             Err(self.err_expected(&format!("{kind}")))
         }
     }
 
     fn err_expected(&self, expected: &str) -> Error {
-        let t = self.peek();
         Error::new(
             ErrorKind::UnexpectedToken {
                 expected: expected.to_owned(),
-                found: t.kind.to_string(),
+                found: self.tok.kind.to_string(),
             },
-            t.span.line,
-            t.span.col,
+            self.tok.span.line,
+            self.tok.span.col,
         )
+    }
+
+    /// The value of the current token, an integer literal of `magnitude`,
+    /// negated when `neg`. Negated, the magnitude 2^63 is `i64::MIN`;
+    /// anywhere else it overflows.
+    fn int_literal(&self, magnitude: u64, neg: bool) -> Result<i64, Error> {
+        match i64::try_from(magnitude) {
+            Ok(v) if neg => Ok(-v),
+            Ok(v) => Ok(v),
+            Err(_) if neg && magnitude == 1 << 63 => Ok(i64::MIN),
+            Err(_) => Err(Error::new(
+                ErrorKind::IntOverflow(magnitude.to_string()),
+                self.tok.span.line,
+                self.tok.span.col,
+            )),
+        }
     }
 
     fn intern_name(&mut self, s: &str) -> Name {
@@ -92,46 +147,31 @@ impl Parser {
     }
 
     fn intern_label(&mut self, s: &str) -> Label {
-        let l = Label(self.prog.labels.intern(s));
-        if self.prog.label_targets.len() < self.prog.labels.len() {
-            self.prog.label_targets.resize(self.prog.labels.len(), None);
-        }
-        l
+        Label(self.prog.labels.intern(s))
     }
 
-    fn alloc(&mut self, kind: StmtKind, labels: Vec<Label>, span: Span) -> StmtId {
+    fn alloc(&mut self, kind: StmtKind, labels: Vec<Label>, line: u32) -> StmtId {
         let id = StmtId(self.prog.stmts.len() as u32);
-        self.prog.stmts.push(Stmt {
-            kind,
-            labels,
-            line: span.line,
-        });
+        self.prog.stmts.push(Stmt { kind, labels, line });
         id
     }
 
-    /// `IDENT ':'` label prefixes of a statement.
-    fn parse_labels(&mut self) -> Vec<Label> {
-        let mut labels = Vec::new();
-        while let TokenKind::Ident(name) = &self.peek().kind {
-            if self.peek2() == &TokenKind::Colon {
-                let name = name.clone();
-                self.bump();
-                self.bump();
-                labels.push(self.intern_label(&name));
-            } else {
-                break;
-            }
+    /// Top-level statements up to the end of input.
+    fn parse_body(&mut self) -> Result<Vec<StmtId>, Error> {
+        let mut body = Vec::new();
+        while !self.at(TokenKind::Eof) {
+            body.push(self.parse_stmt()?);
         }
-        labels
+        Ok(body)
     }
 
     /// A brace-enclosed block or a single statement.
     fn parse_block_or_stmt(&mut self) -> Result<Vec<StmtId>, Error> {
-        if self.at(&TokenKind::LBrace) {
+        if self.at(TokenKind::LBrace) {
             self.bump();
             let mut stmts = Vec::new();
-            while !self.at(&TokenKind::RBrace) {
-                if self.at(&TokenKind::Eof) {
+            while !self.at(TokenKind::RBrace) {
+                if self.at(TokenKind::Eof) {
                     return Err(self.err_expected("`}`"));
                 }
                 stmts.push(self.parse_stmt()?);
@@ -143,37 +183,51 @@ impl Parser {
         }
     }
 
+    /// A statement with its `IDENT ':'` label prefixes.
     fn parse_stmt(&mut self) -> Result<StmtId, Error> {
-        let labels = self.parse_labels();
-        let span = self.peek().span;
-        let kind = self.parse_stmt_kind()?;
-        Ok(self.alloc(kind, labels, span))
+        let mut labels = Vec::new();
+        loop {
+            let line = self.tok.span.line;
+            let kind = match self.tok.kind {
+                TokenKind::Ident(name) => {
+                    self.bump();
+                    if self.at(TokenKind::Colon) {
+                        self.bump();
+                        labels.push(self.intern_label(name));
+                        continue;
+                    }
+                    self.parse_assign(name)?
+                }
+                _ => self.parse_stmt_kind()?,
+            };
+            return Ok(self.alloc(kind, labels, line));
+        }
     }
 
+    /// `name = e;` after `name`.
+    fn parse_assign(&mut self, name: &str) -> Result<StmtKind, Error> {
+        self.expect(TokenKind::Assign)?;
+        let rhs = self.parse_expr()?;
+        self.expect(TokenKind::Semi)?;
+        let lhs = self.intern_name(name);
+        Ok(StmtKind::Assign { lhs, rhs })
+    }
+
+    /// A statement not starting with an identifier.
     fn parse_stmt_kind(&mut self) -> Result<StmtKind, Error> {
-        match self.peek().kind.clone() {
+        match self.tok.kind {
             TokenKind::Semi => {
                 self.bump();
                 Ok(StmtKind::Skip)
             }
-            TokenKind::Ident(name) => {
-                self.bump();
-                self.expect(TokenKind::Assign)?;
-                let rhs = self.parse_expr()?;
-                self.expect(TokenKind::Semi)?;
-                let lhs = self.intern_name(&name);
-                Ok(StmtKind::Assign { lhs, rhs })
-            }
             TokenKind::KwRead => {
                 self.bump();
                 self.expect(TokenKind::LParen)?;
-                let var = match self.peek().kind.clone() {
-                    TokenKind::Ident(v) => {
-                        self.bump();
-                        self.intern_name(&v)
-                    }
-                    _ => return Err(self.err_expected("variable name")),
+                let TokenKind::Ident(v) = self.tok.kind else {
+                    return Err(self.err_expected("variable name"));
                 };
+                self.bump();
+                let var = self.intern_name(v);
                 self.expect(TokenKind::RParen)?;
                 self.expect(TokenKind::Semi)?;
                 Ok(StmtKind::Read { var })
@@ -193,23 +247,19 @@ impl Parser {
                 self.expect(TokenKind::RParen)?;
                 // Fuse the exact unbraced `if (c) goto L;` pattern into a
                 // single conditional-jump statement (paper, Figure 4).
-                if self.at(&TokenKind::KwGoto) {
-                    let save = self.pos;
-                    self.bump();
-                    if let TokenKind::Ident(l) = self.peek().kind.clone() {
-                        self.bump();
-                        if self.at(&TokenKind::Semi) {
+                if self.at(TokenKind::KwGoto) {
+                    if let [TokenKind::Ident(l), TokenKind::Semi, after] = self.lookahead() {
+                        if after != TokenKind::KwElse {
                             self.bump();
-                            if !self.at(&TokenKind::KwElse) {
-                                let target = self.intern_label(&l);
-                                return Ok(StmtKind::CondGoto { cond, target });
-                            }
+                            self.bump();
+                            self.bump();
+                            let target = self.intern_label(l);
+                            return Ok(StmtKind::CondGoto { cond, target });
                         }
                     }
-                    self.pos = save;
                 }
                 let then_branch = self.parse_block_or_stmt()?;
-                let else_branch = if self.at(&TokenKind::KwElse) {
+                let else_branch = if self.at(TokenKind::KwElse) {
                     self.bump();
                     self.parse_block_or_stmt()?
                 } else {
@@ -251,13 +301,11 @@ impl Parser {
             }
             TokenKind::KwGoto => {
                 self.bump();
-                let target = match self.peek().kind.clone() {
-                    TokenKind::Ident(l) => {
-                        self.bump();
-                        self.intern_label(&l)
-                    }
-                    _ => return Err(self.err_expected("label name")),
+                let TokenKind::Ident(l) = self.tok.kind else {
+                    return Err(self.err_expected("label name"));
                 };
+                self.bump();
+                let target = self.intern_label(l);
                 self.expect(TokenKind::Semi)?;
                 Ok(StmtKind::Goto { target })
             }
@@ -273,7 +321,7 @@ impl Parser {
             }
             TokenKind::KwReturn => {
                 self.bump();
-                let value = if self.at(&TokenKind::Semi) {
+                let value = if self.at(TokenKind::Semi) {
                     None
                 } else {
                     Some(self.parse_expr()?)
@@ -287,32 +335,24 @@ impl Parser {
 
     fn parse_switch_arms(&mut self) -> Result<Vec<SwitchArm>, Error> {
         let mut arms = Vec::new();
-        while !self.at(&TokenKind::RBrace) {
-            if self.at(&TokenKind::Eof) {
+        while !self.at(TokenKind::RBrace) {
+            if self.at(TokenKind::Eof) {
                 return Err(self.err_expected("`}`"));
             }
             let mut guards = Vec::new();
             loop {
-                match &self.peek().kind {
+                match self.tok.kind {
                     TokenKind::KwCase => {
                         self.bump();
-                        let neg = if self.at(&TokenKind::Minus) {
+                        let neg = self.at(TokenKind::Minus);
+                        if neg {
                             self.bump();
-                            true
-                        } else {
-                            false
+                        }
+                        let TokenKind::Int(magnitude) = self.tok.kind else {
+                            return Err(self.err_expected("case value"));
                         };
-                        let v = match self.peek().kind.clone() {
-                            TokenKind::Int(v) => {
-                                self.bump();
-                                if neg {
-                                    -v
-                                } else {
-                                    v
-                                }
-                            }
-                            _ => return Err(self.err_expected("case value")),
-                        };
+                        let v = self.int_literal(magnitude, neg)?;
+                        self.bump();
                         self.expect(TokenKind::Colon)?;
                         guards.push(CaseGuard::Case(v));
                     }
@@ -329,7 +369,7 @@ impl Parser {
             }
             let mut body = Vec::new();
             while !matches!(
-                self.peek().kind,
+                self.tok.kind,
                 TokenKind::KwCase | TokenKind::KwDefault | TokenKind::RBrace | TokenKind::Eof
             ) {
                 body.push(self.parse_stmt()?);
@@ -342,96 +382,36 @@ impl Parser {
     // ---- Expressions (precedence climbing) ----
 
     fn parse_expr(&mut self) -> Result<Expr, Error> {
-        self.parse_or()
+        self.parse_binary(1)
     }
 
-    fn parse_or(&mut self) -> Result<Expr, Error> {
-        let mut lhs = self.parse_and()?;
-        while self.at(&TokenKind::OrOr) {
-            self.bump();
-            let rhs = self.parse_and()?;
-            lhs = Expr::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_and(&mut self) -> Result<Expr, Error> {
-        let mut lhs = self.parse_equality()?;
-        while self.at(&TokenKind::AndAnd) {
-            self.bump();
-            let rhs = self.parse_equality()?;
-            lhs = Expr::Binary(BinOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_equality(&mut self) -> Result<Expr, Error> {
-        let mut lhs = self.parse_relational()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::EqEq => BinOp::Eq,
-                TokenKind::NotEq => BinOp::Ne,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.parse_relational()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_relational(&mut self) -> Result<Expr, Error> {
-        let mut lhs = self.parse_additive()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Lt => BinOp::Lt,
-                TokenKind::Le => BinOp::Le,
-                TokenKind::Gt => BinOp::Gt,
-                TokenKind::Ge => BinOp::Ge,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.parse_additive()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_additive(&mut self) -> Result<Expr, Error> {
-        let mut lhs = self.parse_multiplicative()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.parse_multiplicative()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_multiplicative(&mut self) -> Result<Expr, Error> {
+    /// An expression whose binary operators all bind at least as tightly
+    /// as `min_prec`. Each operator's right operand binds one level
+    /// tighter, so operators of one level associate to the left.
+    fn parse_binary(&mut self, min_prec: u8) -> Result<Expr, Error> {
         let mut lhs = self.parse_unary()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::Percent => BinOp::Mod,
-                _ => break,
-            };
+        while let Some(op) = binary_op(self.tok.kind) {
+            let prec = op.precedence();
+            if prec < min_prec {
+                break;
+            }
             self.bump();
-            let rhs = self.parse_unary()?;
+            let rhs = self.parse_binary(prec + 1)?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
     }
 
     fn parse_unary(&mut self) -> Result<Expr, Error> {
-        match self.peek().kind {
+        match self.tok.kind {
             TokenKind::Minus => {
                 self.bump();
+                // `-9223372036854775808` is the literal `i64::MIN`, whose
+                // magnitude has no `i64`; any other `-n` stays a negation.
+                if self.tok.kind == TokenKind::Int(1 << 63) {
+                    self.bump();
+                    return Ok(Expr::Num(i64::MIN));
+                }
                 Ok(Expr::Unary(UnOp::Neg, Box::new(self.parse_unary()?)))
             }
             TokenKind::Bang => {
@@ -443,20 +423,21 @@ impl Parser {
     }
 
     fn parse_primary(&mut self) -> Result<Expr, Error> {
-        match self.peek().kind.clone() {
-            TokenKind::Int(n) => {
+        match self.tok.kind {
+            TokenKind::Int(magnitude) => {
+                let n = self.int_literal(magnitude, false)?;
                 self.bump();
                 Ok(Expr::Num(n))
             }
             TokenKind::Ident(name) => {
                 self.bump();
-                if self.at(&TokenKind::LParen) {
+                if self.at(TokenKind::LParen) {
                     self.bump();
                     let mut args = Vec::new();
-                    if !self.at(&TokenKind::RParen) {
+                    if !self.at(TokenKind::RParen) {
                         loop {
                             args.push(self.parse_expr()?);
-                            if self.at(&TokenKind::Comma) {
+                            if self.at(TokenKind::Comma) {
                                 self.bump();
                             } else {
                                 break;
@@ -464,10 +445,10 @@ impl Parser {
                         }
                     }
                     self.expect(TokenKind::RParen)?;
-                    let f = self.intern_name(&name);
+                    let f = self.intern_name(name);
                     Ok(Expr::Call(f, args))
                 } else {
-                    let v = self.intern_name(&name);
+                    let v = self.intern_name(name);
                     Ok(Expr::Var(v))
                 }
             }
@@ -480,6 +461,26 @@ impl Parser {
             _ => Err(self.err_expected("an expression")),
         }
     }
+}
+
+/// The binary operator a token spells, if any.
+fn binary_op(kind: TokenKind<'_>) -> Option<BinOp> {
+    Some(match kind {
+        TokenKind::OrOr => BinOp::Or,
+        TokenKind::AndAnd => BinOp::And,
+        TokenKind::EqEq => BinOp::Eq,
+        TokenKind::NotEq => BinOp::Ne,
+        TokenKind::Lt => BinOp::Lt,
+        TokenKind::Le => BinOp::Le,
+        TokenKind::Gt => BinOp::Gt,
+        TokenKind::Ge => BinOp::Ge,
+        TokenKind::Plus => BinOp::Add,
+        TokenKind::Minus => BinOp::Sub,
+        TokenKind::Star => BinOp::Mul,
+        TokenKind::Slash => BinOp::Div,
+        TokenKind::Percent => BinOp::Mod,
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -659,6 +660,185 @@ mod tests {
     fn empty_program_is_ok() {
         let p = parse("").unwrap();
         assert!(p.is_empty());
+    }
+
+    /// Every lexical, syntactic and semantic error site with the line
+    /// and column it reports; a lexical error anywhere wins over a
+    /// syntax error before it.
+    #[test]
+    fn errors_keep_their_line_and_column() {
+        let unexpected = |expected: &str, found: &str| ErrorKind::UnexpectedToken {
+            expected: expected.into(),
+            found: found.into(),
+        };
+        let overflow = |s: &str| ErrorKind::IntOverflow(s.into());
+        let cases = [
+            ("x = @;", ErrorKind::UnexpectedChar('@'), 1, 5),
+            ("// é ü\n  y = é;", ErrorKind::UnexpectedChar('é'), 2, 7),
+            (
+                "/* ü\n ü */ x = 1 & 2;",
+                ErrorKind::UnexpectedChar('&'),
+                2,
+                13,
+            ),
+            (
+                "\tx\t= 99999999999999999999;",
+                overflow("99999999999999999999"),
+                1,
+                6,
+            ),
+            (
+                "x = 1;\r\ny = 9223372036854775808;",
+                overflow("9223372036854775808"),
+                2,
+                5,
+            ),
+            ("x = |;", ErrorKind::UnexpectedChar('|'), 1, 5),
+            ("x\u{3000}= 1; @", ErrorKind::UnexpectedChar('@'), 1, 8),
+            (
+                "/* 日本 */ x = 1;\u{a0}\u{2028} #",
+                ErrorKind::UnexpectedChar('#'),
+                1,
+                19,
+            ),
+            ("x = 1", unexpected("`;`", "end of input"), 1, 6),
+            (
+                "while (1) { x = 1;",
+                unexpected("`}`", "end of input"),
+                1,
+                19,
+            ),
+            ("read(1);", unexpected("variable name", "integer `1`"), 1, 6),
+            ("goto 5;", unexpected("label name", "integer `5`"), 1, 6),
+            (
+                "switch (c) { x = 1; }",
+                unexpected("`case` or `default`", "identifier `x`"),
+                1,
+                14,
+            ),
+            (
+                "switch (c) { case x: }",
+                unexpected("case value", "identifier `x`"),
+                1,
+                19,
+            ),
+            ("x = ;", unexpected("an expression", "`;`"), 1, 5),
+            ("+ x;", unexpected("a statement", "`+`"), 1, 1),
+            (
+                "do x = 1; while x;",
+                unexpected("`(`", "identifier `x`"),
+                1,
+                17,
+            ),
+            (
+                "switch (c) { case 1: x = 1;",
+                unexpected("`}`", "end of input"),
+                1,
+                28,
+            ),
+            ("x = f(a, );", unexpected("an expression", "`)`"), 1, 10),
+            (
+                "if (x) goto L; else",
+                unexpected("a statement", "end of input"),
+                1,
+                20,
+            ),
+            ("x = ;\n é", ErrorKind::UnexpectedChar('é'), 2, 2),
+            (
+                "x = 1 -9223372036854775808;",
+                overflow("9223372036854775808"),
+                1,
+                8,
+            ),
+            (
+                "x = ; y = 9223372036854775808;",
+                overflow("9223372036854775808"),
+                1,
+                11,
+            ),
+            (
+                "L: x = 0; L: y = 0; goto L;",
+                ErrorKind::DuplicateLabel("L".into()),
+                1,
+                0,
+            ),
+            (
+                "x = 0;\ngoto M;",
+                ErrorKind::UndefinedLabel("M".into()),
+                2,
+                0,
+            ),
+            ("\n\nbreak;", ErrorKind::BreakOutsideLoop, 3, 0),
+            (
+                "x = 1;\r\n\tcontinue;",
+                ErrorKind::ContinueOutsideLoop,
+                2,
+                0,
+            ),
+            (
+                "switch (c) { case 1: x = 0; case 1: y = 0; }",
+                ErrorKind::DuplicateCase(1),
+                1,
+                0,
+            ),
+            (
+                "switch (c) { default: x = 0; default: y = 0; }",
+                ErrorKind::DuplicateDefault,
+                1,
+                0,
+            ),
+        ];
+        for (src, kind, line, col) in cases {
+            let err = parse(src).unwrap_err();
+            assert_eq!((err.kind, err.line, err.col), (kind, line, col), "{src:?}");
+        }
+    }
+
+    /// `i64::MIN` has no positive counterpart, so it prints as a negated
+    /// literal whose magnitude overflows `i64`; the parser reads exactly
+    /// that literal back, as an expression and as a case guard.
+    #[test]
+    fn min_literal_prints_and_reparses() {
+        use crate::{print_program, ProgramBuilder};
+        let mut b = ProgramBuilder::new();
+        b.read("x");
+        b.assign("z", Expr::num(i64::MIN));
+        let x = b.var("x");
+        b.assign("y", Expr::sub(x, Expr::num(i64::MIN)));
+        b.assign("w", Expr::un(UnOp::Neg, Expr::num(i64::MIN)));
+        let x = b.var("x");
+        b.switch(x, |arms| {
+            arms.case(i64::MIN, |b| {
+                let y = b.var("y");
+                b.write(y);
+            });
+            arms.case(i64::MAX, |b| {
+                b.write(Expr::num(-5));
+            });
+        });
+        let p = b.build().unwrap();
+        let text = print_program(&p);
+        assert!(text.contains("case -9223372036854775808:"), "{text}");
+        let q = parse(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        assert_eq!(print_program(&q), text);
+        assert_eq!(parse(&print_program(&q)).unwrap(), q);
+        let rhs = |line: usize| match &q.stmt(q.at_line(line)).kind {
+            StmtKind::Assign { rhs, .. } => rhs.clone(),
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(rhs(2), Expr::Num(i64::MIN));
+        assert!(matches!(rhs(3), Expr::Binary(BinOp::Sub, _, r) if *r == Expr::Num(i64::MIN)));
+        assert!(matches!(rhs(4), Expr::Unary(UnOp::Neg, e) if *e == Expr::Num(i64::MIN)));
+        let StmtKind::Switch { arms, .. } = &q.stmt(q.at_line(5)).kind else {
+            panic!()
+        };
+        assert_eq!(arms[0].guards, vec![CaseGuard::Case(i64::MIN)]);
+        assert_eq!(arms[1].guards, vec![CaseGuard::Case(i64::MAX)]);
+        // Any other negative literal keeps its shape: a negation.
+        let StmtKind::Write { arg } = &q.stmt(q.at_line(7)).kind else {
+            panic!()
+        };
+        assert!(matches!(arg, Expr::Unary(UnOp::Neg, e) if **e == Expr::Num(5)));
     }
 
     #[test]

@@ -274,7 +274,7 @@ impl Printer<'_> {
                 self.expr(inner, 7, out);
             }
             Expr::Binary(op, l, r) => {
-                let prec = bin_prec(*op);
+                let prec = op.precedence();
                 let need = prec < parent_prec;
                 if need {
                     out.push('(');
@@ -300,17 +300,6 @@ impl Printer<'_> {
                 out.push(')');
             }
         }
-    }
-}
-
-fn bin_prec(op: BinOp) -> u8 {
-    match op {
-        BinOp::Or => 1,
-        BinOp::And => 2,
-        BinOp::Eq | BinOp::Ne => 3,
-        BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => 4,
-        BinOp::Add | BinOp::Sub => 5,
-        BinOp::Mul | BinOp::Div | BinOp::Mod => 6,
     }
 }
 

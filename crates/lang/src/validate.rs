@@ -8,46 +8,38 @@ use std::collections::HashSet;
 /// Resolves labels and checks semantic rules. Called by both the parser and
 /// the builder before a [`Program`] is released to users.
 pub(crate) fn validate(prog: &mut Program) -> Result<(), Error> {
-    resolve_labels(prog)?;
-    let body = prog.body.clone();
-    check_block(prog, &body, &Ctx::default())?;
-    Ok(())
+    prog.label_targets = resolve_labels(prog)?;
+    check_block(prog, &prog.body, &Ctx::default())
 }
 
-fn resolve_labels(prog: &mut Program) -> Result<(), Error> {
-    prog.label_targets = vec![None; prog.labels.len()];
-    for id in 0..prog.stmts.len() {
-        let stmt = &prog.stmts[id];
-        let line = stmt.line;
-        for &l in stmt.labels.clone().iter() {
-            if prog.label_targets[l.0 as usize].is_some() {
+/// Maps every label to the statement carrying it, checking that no label
+/// is attached twice and that every goto / fused conditional goto names a
+/// defined label.
+fn resolve_labels(prog: &Program) -> Result<Vec<Option<StmtId>>, Error> {
+    let mut targets = vec![None; prog.labels.len()];
+    for (id, stmt) in prog.stmts.iter().enumerate() {
+        for &l in &stmt.labels {
+            if targets[l.index()].replace(StmtId(id as u32)).is_some() {
                 return Err(Error::new(
                     ErrorKind::DuplicateLabel(prog.label_str(l).to_owned()),
-                    line,
-                    0,
-                ));
-            }
-            prog.label_targets[l.0 as usize] = Some(StmtId(id as u32));
-        }
-    }
-    // Every goto / fused conditional goto must name a defined label.
-    for id in 0..prog.stmts.len() {
-        let stmt = &prog.stmts[id];
-        let target = match stmt.kind {
-            StmtKind::Goto { target } | StmtKind::CondGoto { target, .. } => Some(target),
-            _ => None,
-        };
-        if let Some(t) = target {
-            if prog.label_targets[t.0 as usize].is_none() {
-                return Err(Error::new(
-                    ErrorKind::UndefinedLabel(prog.label_str(t).to_owned()),
                     stmt.line,
                     0,
                 ));
             }
         }
     }
-    Ok(())
+    for stmt in &prog.stmts {
+        if let StmtKind::Goto { target } | StmtKind::CondGoto { target, .. } = stmt.kind {
+            if targets[target.index()].is_none() {
+                return Err(Error::new(
+                    ErrorKind::UndefinedLabel(prog.label_str(target).to_owned()),
+                    stmt.line,
+                    0,
+                ));
+            }
+        }
+    }
+    Ok(targets)
 }
 
 #[derive(Clone, Copy, Default)]

@@ -380,9 +380,10 @@ pub fn gen_unstructured(cfg: &GenConfig) -> Program {
         // criteria degenerate (the paper assumes live criteria throughout);
         // about a third of raw draws qualify, so the bounded retry
         // practically always succeeds.
-        let live = c.reachable();
-        if c.all_reach_exit() && p.stmt_ids().all(|s| live[c.node(s).index()]) {
-            return p;
+        if let Some(live) = c.reachable_if_all_reach_exit() {
+            if p.stmt_ids().all(|s| live[c.node(s).index()]) {
+                return p;
+            }
         }
     }
     panic!("no fully-live draw in 256 attempts; loosen jump_density");
