@@ -19,7 +19,7 @@
 //!   walk vs the SCC-condensed reachability index, on warm analyses;
 //! * the incremental sweep: one edit followed by a re-slice of a criterion
 //!   pool, through a warm [`jumpslice_incr::EditSession`] (expression patch
-//!   and seeded re-solve paths) vs edit-then-`Analysis::new` from scratch;
+//!   and full-rebuild paths) vs edit-then-`Analysis::new` from scratch;
 //! * the store sweep: first-slice latency through a store-enabled daemon
 //!   on a miss (parse + analyze + warm + write-behind persist) vs on a
 //!   snapshot hit (store load + decode + seeded analysis) — the daemon's
@@ -546,8 +546,8 @@ fn main() {
 
     // The incremental sweep: edit + re-slice through a warm session vs
     // edit + from-scratch analysis. Two edit shapes, matching the two
-    // fast paths: an expression replacement (everything reused) and an
-    // insert/delete cycle (seeded re-solve, steady-state program size).
+    // session paths: an expression replacement (everything reused) and an
+    // insert/delete cycle (full rebuild, steady-state program size).
     let mut incr_rows: Vec<IncrRow> = Vec::new();
     for (family, make) in [
         (
@@ -650,10 +650,11 @@ fn main() {
                 black_box((s1, s2))
             },
         );
+        let stats = session.stats();
         assert_eq!(
-            session.stats().full_rebuilds,
-            0,
-            "insert/delete of a simple statement must stay on the seeded path"
+            (stats.full_rebuilds, stats.expr_patches),
+            (stats.edits, 0),
+            "insert/delete edits take the rebuild path"
         );
         incr_rows.push(IncrRow {
             family,

@@ -194,8 +194,8 @@ fn run_incr_mode(cli: &Cli) -> ! {
         report.scripts, report.edits_applied, report.edits_rejected, report.comparisons
     );
     println!(
-        "  apply paths: {} expression patches, {} seeded re-solves, {} full rebuilds",
-        report.expr_patches, report.seeded_resolves, report.full_rebuilds
+        "  apply paths: {} expression patches, {} full rebuilds",
+        report.expr_patches, report.full_rebuilds
     );
     for f in &report.findings {
         println!(

@@ -42,6 +42,7 @@ use jumpslice_dataflow::{BitSet, DataDeps, ReachingDefs, VarTable};
 use jumpslice_graph::{DiGraph, DomTree, NodeId};
 use jumpslice_lang::{
     BinOp, CaseGuard, Expr, Label, Name, Program, Stmt, StmtId, StmtKind, SwitchArm, UnOp,
+    MAX_NESTING,
 };
 use jumpslice_pdg::{ControlDeps, Pdg};
 use std::fmt;
@@ -84,12 +85,6 @@ pub struct Snapshot {
     /// artifacts were never forced before the snapshot was taken).
     pub seed: AnalysisSeed,
 }
-
-/// Expression nesting deeper than this is rejected at decode. The decoder
-/// recurses over expressions (statement decoding is flat), so hostile
-/// bytes must not get to choose the recursion depth; no plausible source —
-/// the parser itself recurses comparably — gets anywhere near this.
-const MAX_EXPR_DEPTH: usize = 512;
 
 const HAS_REACHING: u32 = 1 << 0;
 const HAS_PDG: u32 = 1 << 1;
@@ -546,9 +541,13 @@ fn encode_expr(out: &mut Vec<u8>, e: &Expr) {
     }
 }
 
+/// Decodes an expression whose root sits `depth` levels below the top.
+/// The decoder recurses over expressions (statement decoding is flat), so
+/// hostile bytes must not get to choose the recursion depth: a tree taller
+/// than the parser accepts, [`MAX_NESTING`], is malformed.
 fn decode_expr(r: &mut Reader<'_>, depth: usize) -> Result<Expr, SnapshotError> {
     use SnapshotError::Malformed;
-    if depth >= MAX_EXPR_DEPTH {
+    if depth >= MAX_NESTING {
         return Err(Malformed);
     }
     Ok(match r.u8().ok_or(Malformed)? {
@@ -962,6 +961,25 @@ L14: write(positives);";
         encode_program(&mut out, &prog);
         encode_cfg(&mut out, &cfg);
         out
+    }
+
+    /// The decoder accepts expression trees exactly as tall as the parser
+    /// does and rejects one level taller (built directly: no source
+    /// parses to it).
+    #[test]
+    fn decoder_bounds_expression_height_like_the_parser() {
+        for (height, ok) in [(MAX_NESTING, true), (MAX_NESTING + 1, false)] {
+            let mut b = jumpslice_lang::ProgramBuilder::new();
+            let mut e = b.var("y");
+            for _ in 1..height {
+                e = Expr::bin(BinOp::Add, e, Expr::Num(1));
+            }
+            b.assign("x", e);
+            let prog = b.build().unwrap();
+            let seed = Analysis::new(&prog).into_seed();
+            let bytes = encode_snapshot("", &prog, &seed);
+            assert_eq!(decode_snapshot(&bytes).is_ok(), ok, "height {height}");
+        }
     }
 
     /// The tentpole's core promise, at codec level: a decoded snapshot

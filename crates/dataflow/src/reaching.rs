@@ -85,42 +85,6 @@ pub struct ReachingDefs {
     masks: Vec<BitSet>,
 }
 
-/// The dense def-site numbering plus the per-variable site masks — the
-/// static part of the reaching-definitions problem, shared by the cold
-/// solve and the seeded re-solve.
-struct Sites {
-    vars: VarTable,
-    def_sites: Vec<StmtId>,
-    site_of_stmt: Vec<Option<usize>>,
-    /// The [`VarTable`] index each site defines.
-    var_of_site: Vec<usize>,
-    masks: Vec<BitSet>,
-}
-
-impl Sites {
-    fn of(prog: &Program) -> Sites {
-        let vars = VarTable::of(prog);
-        let mut def_sites = Vec::new();
-        let mut site_of_stmt: Vec<Option<usize>> = vec![None; prog.len()];
-        let mut var_of_site = Vec::new();
-        for s in prog.stmt_ids() {
-            if let Some(v) = prog.defs(s) {
-                site_of_stmt[s.index()] = Some(def_sites.len());
-                def_sites.push(s);
-                var_of_site.push(vars.index_of(v).expect("collected"));
-            }
-        }
-        let masks = masks_of(prog, &vars, &def_sites);
-        Sites {
-            vars,
-            def_sites,
-            site_of_stmt,
-            var_of_site,
-            masks,
-        }
-    }
-}
-
 /// The per-variable site masks over `def_sites`. A site that defines no
 /// variable of `vars` (possible only in mismatched raw parts) joins no
 /// mask.
@@ -135,92 +99,30 @@ fn masks_of(prog: &Program, vars: &VarTable, def_sites: &[StmtId]) -> Vec<BitSet
 }
 
 impl ReachingDefs {
-    /// Runs the fixpoint on `prog`'s flowgraph.
-    pub fn compute(prog: &Program, cfg: &Cfg) -> ReachingDefs {
-        let sites = Sites::of(prog);
-        let in_sets = vec![BitSet::new(sites.def_sites.len()); cfg.graph().len()];
-        Self::solve(cfg, sites, in_sets, "reaching.fixpoint_passes").0
-    }
-
-    /// Re-solves the fixpoint for an edited program, warm-started from the
-    /// previous solution, and reports which nodes' IN sets moved off the
-    /// translated seed.
-    ///
-    /// `fwd` maps each old-arena statement index to its surviving id in
-    /// `prog` (`None` for deleted statements). `dirty_vars` are the
-    /// variables (in `prog`'s interner) that gained a definition in the
-    /// edit; `dirty_from` is the flowgraph node of that new definition
-    /// (`None` drops dirty bits everywhere).
-    ///
-    /// Soundness: the seed must sit at or below the new least fixpoint so
-    /// monotone iteration converges to it exactly. Translating the old
-    /// solution is below the new one for every bit whose definition variable
-    /// is *clean*: the edit only splices nodes into or out of paths and
-    /// removes no kills of clean variables. A *deleted* definition needs no
-    /// dirty variable at all — removing a definition removes kills, so every
-    /// surviving definition's reach can only grow and the translated bits
-    /// stay below the fixpoint (the deleted site itself has no forward
-    /// image and drops out of the translation). An *inserted* definition
-    /// kills other definitions of its variable, but only along paths that
-    /// pass through it — so bits owned by dirty variables are cleared only
-    /// at nodes reachable from `dirty_from`, and the first iteration
-    /// regenerates whatever genuinely still reaches. Statements with no old
-    /// counterpart start at bottom, which is trivially safe.
-    ///
-    /// The returned flags are indexed by `cfg` node: `true` means the
-    /// node's IN set changed at some step of the iteration from its seed,
-    /// or the node had no old counterpart to seed from. Callers patching
-    /// per-statement facts (see [`DataDeps::patch_seeded`]) may keep facts
-    /// at unflagged nodes.
-    pub fn compute_seeded_tracked(
-        prog: &Program,
-        cfg: &Cfg,
-        old_cfg: &Cfg,
-        old: &ReachingDefs,
-        fwd: &[Option<StmtId>],
-        dirty_vars: &[Name],
-        dirty_from: Option<NodeId>,
-    ) -> (ReachingDefs, Vec<bool>) {
-        let sites = Sites::of(prog);
-        let in_sets = seed_in_sets(prog, cfg, old_cfg, old, &sites, fwd, dirty_vars, dirty_from);
-        let (rd, mut in_changed) = Self::solve(cfg, sites, in_sets, "reaching.seeded_passes");
-        let mut has_old = vec![false; in_changed.len()];
-        for &new_stmt in fwd.iter().flatten() {
-            has_old[cfg.node(new_stmt).index()] = true;
-        }
-        for (flag, had) in in_changed.iter_mut().zip(has_old) {
-            *flag |= !had;
-        }
-        (rd, in_changed)
-    }
-
-    /// Iterates to the least fixpoint from `in_sets` (which must be at or
-    /// below it), reporting per node whether its IN set changed at any
-    /// step.
+    /// Runs the fixpoint on `prog`'s flowgraph, from empty IN sets.
     ///
     /// Sweeps run in reverse postorder from entry, each visiting only the
     /// nodes a predecessor's OUT change has marked since their last visit
     /// (every node on the first sweep). A skipped node would recompute
-    /// exactly its current IN, so the sets, the flags and the pass count
-    /// are those of the textbook sweep over every node. Only definition
-    /// nodes store an OUT set — (IN minus the variable's mask) plus the
-    /// site itself; elsewhere OUT is IN. Nodes unreachable from entry are
-    /// never visited and keep empty sets, so dead definitions cannot leak
-    /// into reachable fall-through successors.
-    fn solve(
-        cfg: &Cfg,
-        sites: Sites,
-        mut in_sets: Vec<BitSet>,
-        counter: &'static str,
-    ) -> (ReachingDefs, Vec<bool>) {
+    /// exactly its current IN, so the sets and the pass count are those of
+    /// the textbook sweep over every node. Only definition nodes store an
+    /// OUT set — (IN minus the variable's mask) plus the site itself;
+    /// elsewhere OUT is IN. Nodes unreachable from entry are never visited
+    /// and keep empty sets, so dead definitions cannot leak into reachable
+    /// fall-through successors.
+    pub fn compute(prog: &Program, cfg: &Cfg) -> ReachingDefs {
         const NONE: u32 = u32::MAX;
-        let Sites {
-            vars,
-            def_sites,
-            var_of_site,
-            masks,
-            ..
-        } = sites;
+        let vars = VarTable::of(prog);
+        let mut def_sites = Vec::new();
+        // The [`VarTable`] index each site defines.
+        let mut var_of_site = Vec::new();
+        for s in prog.stmt_ids() {
+            if let Some(v) = prog.defs(s) {
+                def_sites.push(s);
+                var_of_site.push(vars.index_of(v).expect("collected"));
+            }
+        }
+        let masks = masks_of(prog, &vars, &def_sites);
         let g = cfg.graph();
         let n = g.len();
         let order = jumpslice_graph::reverse_postorder(g, cfg.entry());
@@ -234,21 +136,13 @@ impl ReachingDefs {
         for (d, &s) in def_sites.iter().enumerate() {
             site_at[cfg.node(s).index()] = d as u32;
         }
-        let mut in_changed = vec![false; n];
-        for (i, set) in in_sets.iter_mut().enumerate() {
-            if pos[i] == NONE && !set.is_empty() {
-                in_changed[i] = true;
-                set.clear();
-            }
-        }
+        let mut in_sets = vec![BitSet::new(def_sites.len()); n];
         let mut outs: Vec<BitSet> = def_sites
             .iter()
             .enumerate()
             .map(|(d, &s)| {
-                let i = cfg.node(s).index();
-                let mut out = in_sets[i].clone();
-                if pos[i] != NONE {
-                    out.subtract(&masks[var_of_site[d]]);
+                let mut out = BitSet::new(def_sites.len());
+                if pos[cfg.node(s).index()] != NONE {
                     out.insert(d);
                 }
                 out
@@ -279,7 +173,6 @@ impl ReachingDefs {
                     continue;
                 }
                 std::mem::swap(&mut scratch, &mut in_sets[i]);
-                in_changed[i] = true;
                 changed = true;
                 let out_changed = match site_at[i] {
                     NONE => true,
@@ -305,18 +198,15 @@ impl ReachingDefs {
         }
 
         jumpslice_obs::record(|| jumpslice_obs::Event::Count {
-            name: counter,
+            name: "reaching.fixpoint_passes",
             value: passes,
         });
-        (
-            ReachingDefs {
-                def_sites,
-                in_sets,
-                vars,
-                masks,
-            },
-            in_changed,
-        )
+        ReachingDefs {
+            def_sites,
+            in_sets,
+            vars,
+            masks,
+        }
     }
 
     /// The variable table used by this analysis.
@@ -389,96 +279,6 @@ impl ReachingDefs {
         }
         out
     }
-}
-
-/// The seed [`ReachingDefs::compute_seeded_tracked`] iterates from: the old
-/// IN sets translated across the statement map, minus the dirty variables'
-/// bits inside the region reachable from `dirty_from` (see the soundness
-/// note there).
-#[allow(clippy::too_many_arguments)]
-fn seed_in_sets(
-    prog: &Program,
-    cfg: &Cfg,
-    old_cfg: &Cfg,
-    old: &ReachingDefs,
-    sites: &Sites,
-    fwd: &[Option<StmtId>],
-    dirty_vars: &[Name],
-    dirty_from: Option<NodeId>,
-) -> Vec<BitSet> {
-    let mut in_sets = vec![BitSet::new(sites.def_sites.len()); cfg.graph().len()];
-
-    // Translate old site indices to new ones across the statement map;
-    // sites of deleted statements drop out here.
-    let mut site_map: Vec<Option<usize>> = vec![None; old.def_sites.len()];
-    let mut dirty_old_site = vec![false; old.def_sites.len()];
-    for (old_idx, &old_stmt) in old.def_sites.iter().enumerate() {
-        let Some(new_stmt) = fwd.get(old_stmt.index()).copied().flatten() else {
-            continue;
-        };
-        let Some(new_idx) = sites.site_of_stmt[new_stmt.index()] else {
-            continue;
-        };
-        site_map[old_idx] = Some(new_idx);
-        let v = prog.defs(new_stmt).expect("def site maps to def site");
-        dirty_old_site[old_idx] = dirty_vars.contains(&v);
-    }
-    let affected: Option<Vec<bool>> =
-        dirty_from.map(|v| jumpslice_graph::reachable_from(cfg.graph(), v));
-    let in_region = |node: NodeId| affected.as_ref().is_none_or(|a| a[node.index()]);
-
-    let mut seeded_bits = 0u64;
-    let masked_identity = site_map
-        .iter()
-        .enumerate()
-        .all(|(i, m)| m.is_none() || *m == Some(i));
-    if masked_identity {
-        // Every surviving site keeps its index (edits at the end of the
-        // program), so the translation is a word-parallel masked union
-        // instead of a per-bit loop.
-        let old_nsites = old.def_sites.len();
-        let mut clean = BitSet::new(old_nsites);
-        let mut safe = BitSet::new(old_nsites);
-        for (i, m) in site_map.iter().enumerate() {
-            if m.is_some() {
-                clean.insert(i);
-                if !dirty_old_site[i] {
-                    safe.insert(i);
-                }
-            }
-        }
-        for (old_stmt_idx, &new_stmt) in fwd.iter().enumerate() {
-            let Some(new_stmt) = new_stmt else { continue };
-            let old_node = old_cfg.node(StmtId::from_index(old_stmt_idx));
-            let new_node = cfg.node(new_stmt);
-            let mask = if in_region(new_node) { &safe } else { &clean };
-            in_sets[new_node.index()].union_masked(&old.in_sets[old_node.index()], mask);
-        }
-        seeded_bits = in_sets.iter().map(|s| s.len() as u64).sum();
-    } else {
-        for (old_stmt_idx, &new_stmt) in fwd.iter().enumerate() {
-            let Some(new_stmt) = new_stmt else { continue };
-            let old_node = old_cfg.node(StmtId::from_index(old_stmt_idx));
-            let new_node = cfg.node(new_stmt);
-            let dirty_here = in_region(new_node);
-            let target = &mut in_sets[new_node.index()];
-            for old_bit in old.in_sets[old_node.index()].iter() {
-                if dirty_here && dirty_old_site[old_bit] {
-                    continue;
-                }
-                if let Some(new_bit) = site_map[old_bit] {
-                    target.insert(new_bit);
-                    seeded_bits += 1;
-                }
-            }
-        }
-    }
-
-    jumpslice_obs::record(|| jumpslice_obs::Event::Count {
-        name: "reaching.seeded_bits",
-        value: seeded_bits,
-    });
-    in_sets
 }
 
 /// Data-dependence edges: `u` depends on `d` when a definition at `d`
@@ -561,74 +361,6 @@ impl DataDeps {
     /// Total number of edges.
     pub fn num_edges(&self) -> usize {
         self.deps.iter().map(Vec::len).sum()
-    }
-
-    /// Rebuilds the edge set for an edited program from these (old) edges
-    /// plus a warm reaching solution, recomputing incoming edges only for
-    /// statements whose reaching facts could have changed. Returns the new
-    /// edges and the number of statements actually repointed.
-    ///
-    /// `fwd`, `in_changed`, `dirty_vars`, and `dirty_from` must be the
-    /// statement map, the flags reported by
-    /// [`ReachingDefs::compute_seeded_tracked`], and the same dirty
-    /// variables and region origin that call was given.
-    ///
-    /// A surviving statement keeps its translated old edges when its node
-    /// is unflagged, it uses no dirty variable (checked only at nodes
-    /// reachable from `dirty_from` — elsewhere the seed kept every dirty
-    /// bit), and none of its old deps was deleted. Those three conditions
-    /// cover every way an edge can appear or vanish: a new reaching
-    /// definition flips the node's IN set (flagged), a definition of a
-    /// dirty variable may have been silently dropped from the seed (dirty
-    /// use in region), and a deleted definition leaves its dependents' IN
-    /// sets untouched when nothing replaces it (deleted dep).
-    #[allow(clippy::too_many_arguments)]
-    pub fn patch_seeded(
-        &self,
-        prog: &Program,
-        cfg: &Cfg,
-        rd: &ReachingDefs,
-        fwd: &[Option<StmtId>],
-        in_changed: &[bool],
-        dirty_vars: &[Name],
-        dirty_from: Option<NodeId>,
-    ) -> (DataDeps, usize) {
-        let n = prog.len();
-        let affected: Option<Vec<bool>> =
-            dirty_from.map(|v| jumpslice_graph::reachable_from(cfg.graph(), v));
-        let mut deps: Vec<Vec<StmtId>> = vec![Vec::new(); n];
-        let mut carried = vec![false; n];
-        'old: for (old_idx, &new_id) in fwd.iter().enumerate() {
-            let Some(u) = new_id else { continue };
-            let node = cfg.node(u);
-            let dirty_here = affected.as_ref().is_none_or(|a| a[node.index()]);
-            if in_changed[node.index()]
-                || (dirty_here && prog.uses(u).iter().any(|v| dirty_vars.contains(v)))
-            {
-                continue;
-            }
-            let old_deps = &self.deps[StmtId::from_index(old_idx).index()];
-            let mut translated = Vec::with_capacity(old_deps.len());
-            for &d in old_deps {
-                match fwd.get(d.index()).copied().flatten() {
-                    Some(nd) => translated.push(nd),
-                    None => continue 'old, // a dep was deleted: repoint
-                }
-            }
-            translated.sort();
-            translated.dedup();
-            deps[u.index()] = translated;
-            carried[u.index()] = true;
-        }
-
-        let mut repointed = 0;
-        for u in prog.stmt_ids() {
-            if !carried[u.index()] && !prog.uses(u).is_empty() {
-                repointed += 1;
-                deps[u.index()] = deps_of(prog, cfg, rd, u);
-            }
-        }
-        (DataDeps::from_deps(deps), repointed)
     }
 
     /// Recomputes the *incoming* edges of `u` from `rd` and replaces the
@@ -820,8 +552,8 @@ mod tests {
     }
 
     /// The lazily built inverse equals the eager transpose of the forward
-    /// lists whichever way the edges were made: computed, restored,
-    /// patched after an edit, or repointed with or without the inverse
+    /// lists whichever way the edges were made: computed, restored, or
+    /// repointed after an expression edit with or without the inverse
     /// built first. Two threads forcing it at once see the same lists.
     #[test]
     fn lazy_dependents_equal_the_eager_transpose() {
@@ -837,7 +569,7 @@ mod tests {
             programs.push(gen_unstructured(&cfg.with_jump_density(0.25)));
         }
         let mut rng = jumpslice_testkit::Rng::seed_from_u64(11);
-        let (mut patched, mut repointed) = (0, 0);
+        let mut repointed = 0;
         for prog in &programs {
             let n = prog.len();
             let cfg = Cfg::build(prog);
@@ -861,61 +593,36 @@ mod tests {
 
             for _ in 0..8 {
                 let edit = random_edit(&mut rng, prog);
+                if !matches!(edit, Edit::ReplaceExpr { .. }) {
+                    continue;
+                }
                 let Ok(applied) = apply_edit(prog, &edit) else {
+                    continue;
+                };
+                let (Some(u), true) = (applied.touched, applied.map.is_identity()) else {
                     continue;
                 };
                 let new = &applied.prog;
                 let new_cfg = Cfg::build(new);
-                let fwd = applied.map.fwd();
-                match edit {
-                    Edit::InsertStmt { .. } | Edit::DeleteStmt { .. } => {
-                        // A cold solve is a valid (if unhelpful) seeded
-                        // result: every node flagged, no dirty region.
-                        let rd = ReachingDefs::compute(new, &new_cfg);
-                        let flags = vec![true; new_cfg.graph().len()];
-                        let (p, _) = dd.patch_seeded(new, &new_cfg, &rd, fwd, &flags, &[], None);
-                        assert_dependents_transpose(&p, new.len(), "patch_seeded");
-                        let fresh = DataDeps::from_reaching(new, &new_cfg, &rd);
-                        for s in new.stmt_ids() {
-                            assert_eq!(p.deps(s), fresh.deps(s), "patched deps of {s:?}");
-                        }
-                        patched += 1;
+                let rd = ReachingDefs::compute(new, &new_cfg);
+                let fresh = DataDeps::from_reaching(new, &new_cfg, &rd);
+                for built_first in [false, true] {
+                    let mut dd =
+                        DataDeps::from_deps(prog.stmt_ids().map(|s| dd.deps(s).to_vec()).collect());
+                    if built_first {
+                        dd.dependents(u);
                     }
-                    Edit::ReplaceExpr { .. } => {
-                        let Some(u) = applied.touched else { continue };
-                        if fwd
-                            .iter()
-                            .enumerate()
-                            .any(|(i, f)| f.map(StmtId::index) != Some(i))
-                        {
-                            continue;
-                        }
-                        let rd = ReachingDefs::compute(new, &new_cfg);
-                        let fresh = DataDeps::from_reaching(new, &new_cfg, &rd);
-                        for built_first in [false, true] {
-                            let mut dd = DataDeps::from_deps(
-                                prog.stmt_ids().map(|s| dd.deps(s).to_vec()).collect(),
-                            );
-                            if built_first {
-                                dd.dependents(u);
-                            }
-                            dd.repoint_uses(new, &new_cfg, &rd, u);
-                            assert_dependents_transpose(&dd, n, "repoint_uses");
-                            for s in new.stmt_ids() {
-                                assert_eq!(dd.deps(s), fresh.deps(s), "repointed deps of {s:?}");
-                                assert_eq!(dd.dependents(s), fresh.dependents(s));
-                            }
-                        }
-                        repointed += 1;
+                    dd.repoint_uses(new, &new_cfg, &rd, u);
+                    assert_dependents_transpose(&dd, n, "repoint_uses");
+                    for s in new.stmt_ids() {
+                        assert_eq!(dd.deps(s), fresh.deps(s), "repointed deps of {s:?}");
+                        assert_eq!(dd.dependents(s), fresh.dependents(s));
                     }
-                    _ => {}
                 }
+                repointed += 1;
             }
         }
-        assert!(
-            patched >= 10 && repointed >= 10,
-            "{patched} patched, {repointed} repointed"
-        );
+        assert!(repointed >= 10, "{repointed} repointed");
     }
 
     #[test]
@@ -926,149 +633,6 @@ mod tests {
         assert!(!vt.is_empty());
         let x = p.name("x").unwrap();
         assert_eq!(vt.var(vt.index_of(x).unwrap()), x);
-    }
-
-    #[test]
-    fn seeded_identity_map_matches_cold_solve() {
-        let src = "x = 0; i = 0;
-                   while (i < 9) {
-                     if (i % 2 == 0) { x = x + i; } else { read(x); }
-                     i = i + 1;
-                   }
-                   write(x); write(i);";
-        let p = parse(src).unwrap();
-        let cfg = Cfg::build(&p);
-        let cold = ReachingDefs::compute(&p, &cfg);
-        let fwd: Vec<Option<StmtId>> = p.stmt_ids().map(Some).collect();
-        let (warm, in_changed) =
-            ReachingDefs::compute_seeded_tracked(&p, &cfg, &cfg, &cold, &fwd, &[], None);
-        // An identity edit seeds the exact fixpoint: no statement node may
-        // be reported as changed.
-        for s in p.stmt_ids() {
-            assert!(!in_changed[cfg.node(s).index()], "{s:?} spuriously dirty");
-        }
-        for node in (0..cfg.graph().len()).map(jumpslice_graph::NodeId::new) {
-            let a: Vec<StmtId> = cold.reaching_in(node).collect();
-            let b: Vec<StmtId> = warm.reaching_in(node).collect();
-            assert_eq!(a, b, "node {node:?}");
-        }
-    }
-
-    #[test]
-    fn seeded_solve_after_simulated_delete() {
-        // Delete the killing redefinition `x = 2`; the surviving def must
-        // reach the write even though the old solution said it was killed.
-        let old = parse("x = 1; x = 2; write(x);").unwrap();
-        let new = parse("x = 1; write(x);").unwrap();
-        let old_cfg = Cfg::build(&old);
-        let new_cfg = Cfg::build(&new);
-        let old_rd = ReachingDefs::compute(&old, &old_cfg);
-        // A deletion needs no dirty variables: the deleted site drops out of
-        // the translation, and surviving reaches only grow.
-        let fwd = vec![Some(new.at_line(1)), None, Some(new.at_line(2))];
-        let (warm, _) = ReachingDefs::compute_seeded_tracked(
-            &new,
-            &new_cfg,
-            &old_cfg,
-            &old_rd,
-            &fwd,
-            &[],
-            None,
-        );
-        let dd = DataDeps::from_reaching(&new, &new_cfg, &warm);
-        let lines: Vec<usize> = dd
-            .deps(new.at_line(2))
-            .iter()
-            .map(|&s| new.line_of(s))
-            .collect();
-        assert_eq!(lines, vec![1]);
-    }
-
-    /// Simulates the session's seeded path end to end — tracked re-solve
-    /// plus data-dependence patch — and checks the patch against a cold
-    /// rebuild, for both a deletion and an insertion.
-    #[test]
-    fn patch_seeded_matches_cold_rebuild() {
-        // Delete the killing redefinition `x = 2` (line 2 of `old`).
-        let old = parse("x = 1; x = 2; y = 3; write(x); write(y);").unwrap();
-        let new = parse("x = 1; y = 3; write(x); write(y);").unwrap();
-        let old_cfg = Cfg::build(&old);
-        let new_cfg = Cfg::build(&new);
-        let old_rd = ReachingDefs::compute(&old, &old_cfg);
-        let old_dd = DataDeps::from_reaching(&old, &old_cfg, &old_rd);
-        let fwd = vec![
-            Some(new.at_line(1)),
-            None,
-            Some(new.at_line(2)),
-            Some(new.at_line(3)),
-            Some(new.at_line(4)),
-        ];
-        let (rd, in_changed) = ReachingDefs::compute_seeded_tracked(
-            &new,
-            &new_cfg,
-            &old_cfg,
-            &old_rd,
-            &fwd,
-            &[],
-            None,
-        );
-        let (patched, repointed) =
-            old_dd.patch_seeded(&new, &new_cfg, &rd, &fwd, &in_changed, &[], None);
-        let fresh = DataDeps::from_reaching(&new, &new_cfg, &rd);
-        for s in new.stmt_ids() {
-            assert_eq!(patched.deps(s), fresh.deps(s), "deps of {s:?}");
-            assert_eq!(
-                patched.dependents(s),
-                fresh.dependents(s),
-                "dependents of {s:?}"
-            );
-        }
-        // write(x) lost its dep on the deleted def and must repoint;
-        // write(y) is untouched and must be carried.
-        assert!(repointed >= 1, "the deleted def's dependent repoints");
-        assert!(repointed < 4, "clean statements are carried, not repointed");
-
-        // Insert `x = 9` between the two writes: kills reach only forward.
-        let before = parse("x = 1; write(x); write(x);").unwrap();
-        let after = parse("x = 1; write(x); x = 9; write(x);").unwrap();
-        let bcfg = Cfg::build(&before);
-        let acfg = Cfg::build(&after);
-        let brd = ReachingDefs::compute(&before, &bcfg);
-        let bdd = DataDeps::from_reaching(&before, &bcfg, &brd);
-        let fwd = vec![
-            Some(after.at_line(1)),
-            Some(after.at_line(2)),
-            Some(after.at_line(4)),
-        ];
-        let dirty = vec![after.name("x").unwrap()];
-        let from = Some(acfg.node(after.at_line(3)));
-        let (rd, in_changed) =
-            ReachingDefs::compute_seeded_tracked(&after, &acfg, &bcfg, &brd, &fwd, &dirty, from);
-        let (patched, repointed) =
-            bdd.patch_seeded(&after, &acfg, &rd, &fwd, &in_changed, &dirty, from);
-        let fresh = DataDeps::from_reaching(&after, &acfg, &rd);
-        for s in after.stmt_ids() {
-            assert_eq!(patched.deps(s), fresh.deps(s), "deps of {s:?}");
-            assert_eq!(
-                patched.dependents(s),
-                fresh.dependents(s),
-                "dependents of {s:?}"
-            );
-        }
-        // The first write(x) sits before the insertion point — outside the
-        // dirty region — so despite using the dirty variable it is carried;
-        // only the second write (whose IN set the new def flipped) repoints.
-        assert_eq!(repointed, 1, "exactly the downstream use repoints");
-        assert_eq!(
-            fresh.deps(after.at_line(2)),
-            &[after.at_line(1)],
-            "sanity: first write still sees the original def"
-        );
-        assert_eq!(
-            fresh.deps(after.at_line(4)),
-            &[after.at_line(3)],
-            "sanity: second write sees only the inserted def"
-        );
     }
 
     #[test]
@@ -1119,16 +683,11 @@ mod tests {
         }
     }
 
-    /// The textbook dense solve [`ReachingDefs::solve`] must reproduce bit
-    /// for bit: per-node gen and kill sets derived from the program alone,
-    /// every reachable node revisited on every pass with fresh sets.
-    /// Returns the IN sets, the changed-at-any-step flags and the pass
-    /// count.
-    fn dense_solve(
-        prog: &Program,
-        cfg: &Cfg,
-        mut in_sets: Vec<BitSet>,
-    ) -> (Vec<BitSet>, Vec<bool>, u64) {
+    /// The textbook dense solve [`ReachingDefs::compute`] must reproduce
+    /// bit for bit: per-node gen and kill sets derived from the program
+    /// alone, every reachable node revisited on every pass with fresh sets.
+    /// Returns the IN sets and the pass count.
+    fn dense_solve(prog: &Program, cfg: &Cfg) -> (Vec<BitSet>, u64) {
         let def_sites: Vec<StmtId> = prog
             .stmt_ids()
             .filter(|&s| prog.defs(s).is_some())
@@ -1147,23 +706,10 @@ mod tests {
             }
         }
         let order = jumpslice_graph::reverse_postorder(cfg.graph(), cfg.entry());
-        let mut live = vec![false; n];
+        let mut in_sets = vec![BitSet::new(nsites); n];
+        let mut out_sets = vec![BitSet::new(nsites); n];
         for &node in &order {
-            live[node.index()] = true;
-        }
-        let mut in_changed = vec![false; n];
-        let mut out_sets = Vec::with_capacity(n);
-        for i in 0..n {
-            if !live[i] {
-                in_changed[i] |= !in_sets[i].is_empty();
-                in_sets[i].clear();
-                out_sets.push(BitSet::new(nsites));
-                continue;
-            }
-            let mut out = in_sets[i].clone();
-            out.subtract(&kill[i]);
-            out.union_with(&gen[i]);
-            out_sets.push(out);
+            out_sets[node.index()] = gen[node.index()].clone();
         }
         let (mut changed, mut passes) = (true, 0);
         while changed {
@@ -1179,14 +725,13 @@ mod tests {
                 new_out.subtract(&kill[i]);
                 new_out.union_with(&gen[i]);
                 if new_in != in_sets[i] || new_out != out_sets[i] {
-                    in_changed[i] |= new_in != in_sets[i];
                     in_sets[i] = new_in;
                     out_sets[i] = new_out;
                     changed = true;
                 }
             }
         }
-        (in_sets, in_changed, passes)
+        (in_sets, passes)
     }
 
     /// The data-dependence scan the masked read replaced: every reaching
@@ -1202,17 +747,13 @@ mod tests {
         deps
     }
 
-    /// Solves from `seed` with the production sweep and the dense oracle,
-    /// asserts identical IN sets, flags and pass counts, and returns the
-    /// solution.
-    fn assert_solves_like_dense(prog: &Program, cfg: &Cfg, seed: Vec<BitSet>) -> ReachingDefs {
-        let (want_in, want_changed, want_passes) = dense_solve(prog, cfg, seed.clone());
-        let ((rd, changed), trace) = jumpslice_obs::capture(|| {
-            ReachingDefs::solve(cfg, Sites::of(prog), seed, "reaching.fixpoint_passes")
-        });
+    /// Solves with the production sweep and the dense oracle and asserts
+    /// identical IN sets, pass counts and data dependences.
+    fn assert_solves_like_dense(prog: &Program, cfg: &Cfg) {
+        let (want_in, want_passes) = dense_solve(prog, cfg);
+        let (rd, trace) = jumpslice_obs::capture(|| ReachingDefs::compute(prog, cfg));
         let passes = jumpslice_obs::Metrics::of(&trace).counts["reaching.fixpoint_passes"];
         assert_eq!(rd.in_sets(), &want_in[..], "IN sets");
-        assert_eq!(changed, want_changed, "in_changed flags");
         assert_eq!(passes, want_passes, "pass count");
         let dd = DataDeps::from_reaching(prog, cfg, &rd);
         for u in prog.stmt_ids() {
@@ -1222,7 +763,6 @@ mod tests {
                 "deps of {u:?}"
             );
         }
-        rd
     }
 
     /// Programs whose flowgraphs have self-loops, which the generators
@@ -1274,12 +814,11 @@ mod tests {
         out
     }
 
-    /// The masked sweep against the dense oracle on every corpus program
-    /// and on progen structured and unstructured programs: cold, and
-    /// seeded across insert and delete edits exactly as an edit session
-    /// seeds it.
+    /// The masked sweep against the dense oracle on every corpus program,
+    /// on progen structured and unstructured programs, and on programs
+    /// with self-loops.
     #[test]
-    fn sweep_matches_the_dense_oracle_cold_and_seeded() {
+    fn sweep_matches_the_dense_oracle() {
         use jumpslice_progen::{gen_structured, gen_unstructured, GenConfig};
         let mut programs: Vec<Program> = jumpslice_core::corpus::all()
             .into_iter()
@@ -1293,77 +832,9 @@ mod tests {
             }
         }
         programs.extend(self_loop_programs());
-        let mut rng = jumpslice_testkit::Rng::seed_from_u64(7);
-        let (mut seeded, mut inserts, mut deletes) = (0, 0, 0);
-        for prog in programs {
-            let (mut prog, mut cfg) = (prog.clone(), Cfg::build(&prog));
-            let empty = vec![BitSet::new(Sites::of(&prog).def_sites.len()); cfg.graph().len()];
-            let mut rd = assert_solves_like_dense(&prog, &cfg, empty);
-            let cold = ReachingDefs::compute(&prog, &cfg);
-            assert_eq!(cold.in_sets(), rd.in_sets());
-            for _ in 0..6 {
-                let edit = jumpslice_incr::random_edit(&mut rng, &prog);
-                let (dirty, is_insert) = match &edit {
-                    jumpslice_incr::Edit::InsertStmt { stmt, .. } => {
-                        (stmt.defined_var().map(str::to_owned), true)
-                    }
-                    // The session seeds only deletions of simple,
-                    // unlabeled, non-jump statements; other edits rebuild.
-                    jumpslice_incr::Edit::DeleteStmt { at } => match at.resolve(&prog) {
-                        Some(t)
-                            if !prog.stmt(t).kind.is_compound()
-                                && !prog.stmt(t).kind.is_jump()
-                                && prog.stmt(t).labels.is_empty() =>
-                        {
-                            (None, false)
-                        }
-                        _ => continue,
-                    },
-                    _ => continue,
-                };
-                let Ok(applied) = jumpslice_incr::apply_edit(&prog, &edit) else {
-                    continue;
-                };
-                let new = applied.prog;
-                let new_cfg = Cfg::build(&new);
-                let fwd = applied.map.fwd();
-                let dirty: Vec<Name> = dirty.and_then(|v| new.name(&v)).into_iter().collect();
-                let dirty_from = applied
-                    .touched
-                    .filter(|_| is_insert)
-                    .map(|t| new_cfg.node(t));
-                let sites = Sites::of(&new);
-                let seed = seed_in_sets(&new, &new_cfg, &cfg, &rd, &sites, fwd, &dirty, dirty_from);
-                let oracle = assert_solves_like_dense(&new, &new_cfg, seed.clone());
-                let (got, got_changed) = ReachingDefs::compute_seeded_tracked(
-                    &new, &new_cfg, &cfg, &rd, fwd, &dirty, dirty_from,
-                );
-                assert_eq!(got.in_sets(), oracle.in_sets(), "seeded IN sets");
-                let (_, mut want_changed, _) = dense_solve(&new, &new_cfg, seed);
-                let mut has_old = vec![false; new_cfg.graph().len()];
-                for &s in fwd.iter().flatten() {
-                    has_old[new_cfg.node(s).index()] = true;
-                }
-                for (flag, had) in want_changed.iter_mut().zip(has_old) {
-                    *flag |= !had;
-                }
-                assert_eq!(got_changed, want_changed, "seeded in_changed flags");
-                let cold = ReachingDefs::compute(&new, &new_cfg);
-                assert_eq!(cold.in_sets(), got.in_sets(), "seeded == cold fixpoint");
-                seeded += 1;
-                if is_insert {
-                    inserts += 1;
-                } else {
-                    deletes += 1;
-                }
-                (prog, cfg, rd) = (new, new_cfg, got);
-            }
+        for prog in &programs {
+            assert_solves_like_dense(prog, &Cfg::build(prog));
         }
-        assert!(seeded >= 40, "only {seeded} seeded solves ran");
-        assert!(
-            inserts > 0 && deletes > 0,
-            "{inserts} inserts, {deletes} deletes"
-        );
     }
 
     #[test]

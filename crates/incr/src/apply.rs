@@ -3,8 +3,8 @@
 //! The language's programs are immutable value types, so an edit is applied
 //! by rebuilding through [`ProgramBuilder`], walking the old program and
 //! diverging only at the edit site. The walk records which new arena id
-//! each old statement was re-emitted as — the [`StmtMap`] every downstream
-//! analysis translation keys off.
+//! each old statement was re-emitted as — the [`StmtMap`] whose identity
+//! test decides whether id-addressed artifacts survive the edit.
 //!
 //! Two invariants make artifact reuse possible:
 //!
@@ -28,16 +28,6 @@ pub struct StmtMap {
 }
 
 impl StmtMap {
-    /// The forward map, indexed by old arena index.
-    pub fn fwd(&self) -> &[Option<StmtId>] {
-        &self.fwd
-    }
-
-    /// The new id of an old statement, or `None` if it was deleted.
-    pub fn get(&self, old: StmtId) -> Option<StmtId> {
-        self.fwd.get(old.index()).copied().flatten()
-    }
-
     /// Whether every old statement kept its exact id and no statement was
     /// added — the precondition for reusing id-addressed artifacts as-is.
     pub fn is_identity(&self) -> bool {

@@ -56,8 +56,8 @@ impl EditExpr {
 }
 
 /// A simple statement an [`Edit::InsertStmt`] can introduce. Compound
-/// statements and jumps are deliberately absent: insertions stay on the
-/// analysis fast path, and jumps arrive through [`Edit::ToggleJump`].
+/// statements and jumps are deliberately absent: jumps arrive through
+/// [`Edit::ToggleJump`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum NewStmt {
     /// `var = rhs;`
@@ -79,17 +79,6 @@ pub enum NewStmt {
     },
     /// `;`
     Skip,
-}
-
-impl NewStmt {
-    /// The variable this statement defines, if any — the edit's dirty
-    /// variable for the seeded reaching-definitions re-solve.
-    pub fn defined_var(&self) -> Option<&str> {
-        match self {
-            NewStmt::Assign { var, .. } | NewStmt::Read { var } => Some(var),
-            NewStmt::Write { .. } | NewStmt::Skip => None,
-        }
-    }
 }
 
 /// The jump statement a [`Edit::ToggleJump`] turns its target into.

@@ -1,15 +1,16 @@
 //! Incremental edit-and-reslice sessions.
 //!
-//! Serving slices interactively means the expensive analyses — reaching
-//! definitions, the PDG, postdominators, the LST — must survive small
-//! program edits instead of being recomputed from scratch after each one.
-//! This crate adds that layer on top of the per-program caching of
+//! Serving slices interactively means re-slicing after small program
+//! edits. This crate adds that layer on top of the per-program caching of
 //! [`jumpslice_core::Analysis`]: an [`EditSession`] owns a program and its
-//! warm artifacts, accepts edits from a small edit language expressed
-//! against [`jumpslice_lang::StmtPath`]s, computes what each edit dirties,
-//! and selectively patches or re-seeds the caches. Structure-changing
-//! edits fall back to a full rebuild — explicitly, and counted, so tests
-//! can assert exactly when the fast paths engaged.
+//! warm artifacts and accepts edits from a small edit language expressed
+//! against [`jumpslice_lang::StmtPath`]s. An expression replacement keeps
+//! every artifact and repoints one statement's data edges in place; every
+//! other edit shifts ids or jump structure and takes a full rebuild, which
+//! the next analysis runs (on the phase DAG under
+//! [`jumpslice_core::Analysis::warm_parallel`]). Each edit reports the
+//! path it took, and the rebuilds are counted, so tests can assert
+//! exactly when the patch engaged.
 //!
 //! The correctness contract is blunt: **slicing through a session after
 //! any sequence of edits is identical to slicing a freshly analyzed copy

@@ -2,49 +2,37 @@
 //!
 //! An [`EditSession`] owns a program together with the analysis artifacts
 //! computed for it so far, applies edits from the edit language, and keeps
-//! whatever the edit left valid instead of recomputing it. Three paths,
-//! from cheapest to priciest:
+//! whatever the edit left valid instead of recomputing it. Two paths:
 //!
 //! * **Expression patch** — a [`Edit::ReplaceExpr`] changes the *uses* of
 //!   one statement and nothing else: ids, flowgraph shape, definitions,
 //!   postdominators, control dependence, the LST, and the entire
 //!   reaching-definitions solution all survive. Only the PDG's data edges
 //!   into the edited statement are repointed, in place.
-//! * **Seeded re-solve** — inserting or deleting one simple, unlabeled,
-//!   non-jump statement shifts ids and splices the flowgraph, so the
-//!   structural artifacts are rebuilt (cheap, linear); the expensive
-//!   reaching-definitions fixpoint is instead *re-solved from a seed*
-//!   translated out of the old solution across the statement map (word
-//!   parallel when ids only shift at the end), and the PDG's data half is
-//!   *patched*: only statements whose reaching facts the solve actually
-//!   moved are repointed.
-//! * **Full rebuild** — anything that changes jump structure (toggles,
-//!   edits to labeled or compound or jump statements) falls back to
-//!   recomputing everything. The fallback is counted, so tests can assert
-//!   exactly when the fast paths were taken.
+//! * **Full rebuild** — every other edit (insertions, deletions, jump
+//!   toggles) shifts ids or changes jump structure. The session keeps the
+//!   new flowgraph it already built to vet the edit and drops everything
+//!   else; the next analysis rebuilds it, on the phase DAG when warmed with
+//!   [`Analysis::warm_parallel`]. The rebuild is counted, so tests can
+//!   assert exactly when the patch was taken.
 //!
-//! The invariant behind all three: after every `apply`, slicing through
-//! the session is **identical** to slicing a freshly analyzed copy of the
+//! The invariant behind both: after every `apply`, slicing through the
+//! session is **identical** to slicing a freshly analyzed copy of the
 //! edited program. `difftest --mode incr` fuzzes exactly this.
 
 use crate::apply::{apply_edit, Applied};
 use crate::edit::{Edit, EditError};
 use jumpslice_cfg::Cfg;
 use jumpslice_core::{Analysis, AnalysisSeed, BatchSlicer, Criterion, Slice, SliceFn};
-use jumpslice_dataflow::ReachingDefs;
-use jumpslice_lang::{Name, Program, StmtId};
+use jumpslice_lang::{Program, StmtId};
 use jumpslice_obs as obs;
-use jumpslice_pdg::{ControlDeps, Pdg};
 
 /// Which invalidation path an accepted edit took.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ApplyPath {
     /// Everything reused; PDG data edges of one statement repointed.
     ExprPatch,
-    /// Structural artifacts rebuilt; reaching definitions re-solved from a
-    /// seed; PDG derived from the warm solution.
-    SeededResolve,
-    /// Explicit fallback: every artifact recomputed lazily from scratch.
+    /// The flowgraph kept; every other artifact recomputed from scratch.
     FullRebuild,
 }
 
@@ -55,9 +43,7 @@ pub struct IncrStats {
     pub edits: usize,
     /// Edits that took [`ApplyPath::ExprPatch`].
     pub expr_patches: usize,
-    /// Edits that took [`ApplyPath::SeededResolve`].
-    pub seeded_resolves: usize,
-    /// Edits that fell back to [`ApplyPath::FullRebuild`].
+    /// Edits that took [`ApplyPath::FullRebuild`].
     pub full_rebuilds: usize,
     /// Edits rejected with an [`EditError`] (session state unchanged).
     pub rejected: usize,
@@ -69,10 +55,8 @@ pub struct EditOutcome {
     /// The invalidation path taken.
     pub path: ApplyPath,
     /// Statements whose cached dataflow facts had to be recomputed: the
-    /// edit site for an expression patch, the edit site plus every
-    /// definition of an inserted definition's variable for a seeded
-    /// re-solve (deletions dirty no variable), and the whole program for a
-    /// full rebuild.
+    /// edit site for an expression patch, the whole program for a full
+    /// rebuild.
     pub dirty_stmts: usize,
     /// Analysis phases carried over from before the edit (of the four lazy
     /// ones: reaching defs, PDG, postdominators, LST). Phases never forced
@@ -218,18 +202,16 @@ impl EditSession {
             return Err(EditError::Unanalyzable);
         }
 
-        let outcome = match self.classify(edit, &applied) {
-            ApplyPath::ExprPatch => self.patch_expr(applied, new_cfg),
-            ApplyPath::SeededResolve => self.seeded_resolve(edit, applied, new_cfg),
-            ApplyPath::FullRebuild => self.full_rebuild(applied, new_cfg),
+        // Identity can only fail for a replacement if the program did not
+        // originate from the builder's emit order; rebuild safely then.
+        let outcome = if matches!(edit, Edit::ReplaceExpr { .. }) && applied.map.is_identity() {
+            self.stats.expr_patches += 1;
+            self.patch_expr(applied, new_cfg)
+        } else {
+            self.stats.full_rebuilds += 1;
+            self.full_rebuild(applied, new_cfg)
         };
-
         self.stats.edits += 1;
-        match outcome.path {
-            ApplyPath::ExprPatch => self.stats.expr_patches += 1,
-            ApplyPath::SeededResolve => self.stats.seeded_resolves += 1,
-            ApplyPath::FullRebuild => self.stats.full_rebuilds += 1,
-        }
         obs::record(|| obs::Event::Count {
             name: "incr.dirty_stmts",
             value: outcome.dirty_stmts as u64,
@@ -241,39 +223,11 @@ impl EditSession {
         obs::record(|| obs::Event::Count {
             name: match outcome.path {
                 ApplyPath::FullRebuild => "incr.fallback",
-                _ => "incr.fast_path",
+                ApplyPath::ExprPatch => "incr.fast_path",
             },
             value: 1,
         });
         Ok(outcome)
-    }
-
-    /// Picks the invalidation path for an edit that already applied
-    /// cleanly.
-    fn classify(&self, edit: &Edit, applied: &Applied) -> ApplyPath {
-        match edit {
-            Edit::ReplaceExpr { .. } if applied.map.is_identity() => ApplyPath::ExprPatch,
-            // Identity can only fail for ReplaceExpr if the program did not
-            // originate from the builder's emit order; fall back safely.
-            Edit::ReplaceExpr { .. } => ApplyPath::FullRebuild,
-            Edit::InsertStmt { .. } => ApplyPath::SeededResolve,
-            Edit::DeleteStmt { at } => {
-                // Fast path only for a simple, unlabeled, non-jump victim:
-                // those leave label structure and jump topology alone.
-                match at.resolve(&self.prog) {
-                    Some(t) => {
-                        let s = self.prog.stmt(t);
-                        if !s.kind.is_compound() && !s.kind.is_jump() && s.labels.is_empty() {
-                            ApplyPath::SeededResolve
-                        } else {
-                            ApplyPath::FullRebuild
-                        }
-                    }
-                    None => ApplyPath::FullRebuild,
-                }
-            }
-            Edit::ToggleJump { .. } => ApplyPath::FullRebuild,
-        }
     }
 
     /// [`ApplyPath::ExprPatch`]: ids are stable, so every artifact survives
@@ -307,103 +261,8 @@ impl EditSession {
         }
     }
 
-    /// [`ApplyPath::SeededResolve`]: rebuild the structural artifacts,
-    /// warm-start the reaching-definitions fixpoint from the old solution,
-    /// and derive the PDG from it.
-    fn seeded_resolve(&mut self, edit: &Edit, applied: Applied, new_cfg: Cfg) -> EditOutcome {
-        let Applied { prog, map, touched } = applied;
-        let old_seed = std::mem::take(&mut self.seed);
-        let old_cfg = old_seed.cfg.unwrap_or_else(|| Cfg::build(&self.prog));
-
-        // The dirty variable: the definition an *insertion* added. A
-        // deletion dirties nothing — removing a definition removes kills,
-        // so every surviving definition's reach only grows and the old
-        // solution stays a sound seed (the deleted site itself drops out
-        // of the translation). Write/skip insertions define nothing.
-        let dirty: Vec<Name> = match edit {
-            Edit::InsertStmt { stmt, .. } => stmt
-                .defined_var()
-                .and_then(|v| prog.name(v))
-                .into_iter()
-                .collect(),
-            _ => Vec::new(),
-        };
-        // An inserted definition kills only along paths through itself, so
-        // seeding (and dependence patching) treat as dirty only the region
-        // reachable from the insertion point.
-        let dirty_from = match edit {
-            Edit::InsertStmt { .. } => touched.map(|t| new_cfg.node(t)),
-            _ => None,
-        };
-        let dirty_sites = prog
-            .stmt_ids()
-            .filter(|&s| prog.defs(s).is_some_and(|v| dirty.contains(&v)))
-            .count();
-
-        let mut reused = 0;
-        let mut in_changed = None;
-        let reaching = old_seed.reaching.map(|old_rd| {
-            reused += 1;
-            let (rd, changed) = ReachingDefs::compute_seeded_tracked(
-                &prog,
-                &new_cfg,
-                &old_cfg,
-                &old_rd,
-                map.fwd(),
-                &dirty,
-                dirty_from,
-            );
-            in_changed = Some(changed);
-            rd
-        });
-        // With a warm reaching solution in hand, the PDG's data half is
-        // *patched*: only statements whose reaching facts moved are
-        // repointed, everything else keeps its translated edges. The
-        // splice changed the flowgraph, so postdominators and control
-        // dependence are rebuilt; the tree is built once here and shared
-        // between the control dependence walk and the analysis cache.
-        let (pdg, pdom) = match (&reaching, old_seed.pdg) {
-            (Some(rd), Some(old_pdg)) => {
-                reused += 1;
-                let (data, repointed) = old_pdg.data().patch_seeded(
-                    &prog,
-                    &new_cfg,
-                    rd,
-                    map.fwd(),
-                    in_changed.as_ref().expect("tracked alongside reaching"),
-                    &dirty,
-                    dirty_from,
-                );
-                obs::record(|| obs::Event::Count {
-                    name: "incr.data_deps_repointed",
-                    value: repointed as u64,
-                });
-                let pdom = new_cfg.postdominators();
-                let control = ControlDeps::compute_with_pdom(&prog, &new_cfg, &pdom);
-                (Some(Pdg::from_parts(data, control)), Some(pdom))
-            }
-            _ => (None, None),
-        };
-
-        self.prog = prog;
-        self.seed = AnalysisSeed {
-            cfg: Some(new_cfg),
-            pdom,
-            lst: None, // lexical positions shifted: recompute lazily
-            pdg,
-            reaching,
-            // The chain index embeds LST chains, so it shifted too.
-            chain_index: None,
-        };
-        EditOutcome {
-            path: ApplyPath::SeededResolve,
-            dirty_stmts: 1 + dirty_sites,
-            reused_phases: reused,
-            touched,
-        }
-    }
-
-    /// [`ApplyPath::FullRebuild`]: the counted fallback.
+    /// [`ApplyPath::FullRebuild`]: keep the flowgraph built to vet the
+    /// edit; every other artifact is recomputed on demand.
     fn full_rebuild(&mut self, applied: Applied, new_cfg: Cfg) -> EditOutcome {
         let dirty = applied.prog.len();
         self.prog = applied.prog;
@@ -469,7 +328,7 @@ mod tests {
         assert_eq!(out.path, ApplyPath::ExprPatch);
         assert_eq!(out.dirty_stmts, 1);
         assert_eq!(out.reused_phases, 4, "all four lazy artifacts survive");
-        // The seeded analysis must not recompute anything.
+        // The analysis over the patched seed must recompute nothing.
         let stats = s.with_analysis(|a| {
             a.warm();
             a.stats()
@@ -528,7 +387,7 @@ mod tests {
         assert_eq!(out.path, ApplyPath::ExprPatch);
         assert_engine_matches_pdg(&mut s);
 
-        // Insert then delete `a = b`: the seeded re-solve builds a new PDG.
+        // Insert then delete `a = b`: each rebuild builds a new PDG.
         let out = s
             .apply(&Edit::InsertStmt {
                 at: StmtPath::root(2),
@@ -538,19 +397,19 @@ mod tests {
                 },
             })
             .unwrap();
-        assert_eq!(out.path, ApplyPath::SeededResolve);
+        assert_eq!(out.path, ApplyPath::FullRebuild);
         assert_engine_matches_pdg(&mut s);
         let out = s
             .apply(&Edit::DeleteStmt {
                 at: StmtPath::root(2),
             })
             .unwrap();
-        assert_eq!(out.path, ApplyPath::SeededResolve);
+        assert_eq!(out.path, ApplyPath::FullRebuild);
         assert_engine_matches_pdg(&mut s);
     }
 
     #[test]
-    fn insert_and_delete_take_the_seeded_path() {
+    fn insert_and_delete_take_the_rebuild_path() {
         let p = parse("x = 1; while (x < 9) { x = x + 2; } write(x);").unwrap();
         let mut s = EditSession::new(p);
         s.with_analysis(|a| a.warm());
@@ -564,8 +423,8 @@ mod tests {
                 },
             })
             .unwrap();
-        assert_eq!(out.path, ApplyPath::SeededResolve);
-        assert!(out.reused_phases >= 1, "reaching was warm-started");
+        assert_eq!(out.path, ApplyPath::FullRebuild);
+        assert_eq!(out.reused_phases, 0);
         assert_matches_scratch(&mut s);
 
         // Delete the statement we just inserted.
@@ -574,10 +433,10 @@ mod tests {
                 at: StmtPath::root(1),
             })
             .unwrap();
-        assert_eq!(out.path, ApplyPath::SeededResolve);
+        assert_eq!(out.path, ApplyPath::FullRebuild);
         assert_matches_scratch(&mut s);
-        assert_eq!(s.stats().seeded_resolves, 2);
-        assert_eq!(s.stats().full_rebuilds, 0);
+        assert_eq!(s.stats().full_rebuilds, 2);
+        assert_eq!(s.stats().expr_patches, 0);
     }
 
     #[test]

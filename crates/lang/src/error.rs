@@ -29,6 +29,9 @@ pub enum ErrorKind {
     DuplicateCase(i64),
     /// More than one `default:` in one `switch`.
     DuplicateDefault,
+    /// Expressions or statements nested deeper than
+    /// [`crate::MAX_NESTING`].
+    TooDeep,
 }
 
 /// A parse or validation error with its source location.
@@ -63,6 +66,9 @@ impl fmt::Display for Error {
             ErrorKind::ContinueOutsideLoop => write!(f, "`continue` outside of loop"),
             ErrorKind::DuplicateCase(v) => write!(f, "duplicate case value {v}"),
             ErrorKind::DuplicateDefault => write!(f, "duplicate `default` arm"),
+            ErrorKind::TooDeep => {
+                write!(f, "nested deeper than {} levels", crate::MAX_NESTING)
+            }
         }
     }
 }

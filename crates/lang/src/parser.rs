@@ -3,11 +3,31 @@
 //! The parser pulls tokens from the [`Lexer`] on demand and never clones
 //! one: tokens are `Copy` and identifiers borrow the source, so a name is
 //! copied once, when the interner first sees it.
+//!
+//! Nesting is bounded by [`MAX_NESTING`], so neither the parser nor any
+//! later pass that recurses over a program's tree can be driven into a
+//! stack overflow by its text.
 
 use crate::ast::*;
 use crate::error::{Error, ErrorKind};
 use crate::lexer::{Lexer, Span, Token, TokenKind};
 use crate::validate::validate;
+
+/// The deepest nesting a program may have, on each of three measures:
+/// the height of an expression tree (a literal or variable has height 1,
+/// and a flat chain `a + b + c` is as tall as it has terms), the nesting
+/// of parentheses, unary operators and call argument lists around any
+/// point of an expression, and the nesting of blocks (the program body
+/// is at depth 1, the body of a top-level loop at depth 2, empty blocks
+/// included). Deeper text is a [`ErrorKind::TooDeep`] parse error.
+/// Printing never nests a parsed program deeper, so printed programs
+/// parse again.
+///
+/// Programs at the bound parse, analyze, slice and print on a 2 MiB
+/// thread stack, unoptimized builds included, where the parser's
+/// statement and parenthesis recursion is the deepest: about 2.6 KiB and
+/// 4.2 KiB of stack per level there, so about 800 and 500 levels fit.
+pub const MAX_NESTING: usize = 256;
 
 /// Parses mini-C source text into a validated [`Program`].
 ///
@@ -16,7 +36,8 @@ use crate::validate::validate;
 /// Returns the first lexical, syntactic, or semantic error (undefined or
 /// duplicate labels, `break`/`continue` outside their contexts, duplicate
 /// `case` values), in that order of precedence: a lexical error anywhere
-/// in the text is reported before any syntax error.
+/// in the text is reported before any syntax error. Nesting deeper than
+/// [`MAX_NESTING`] is a syntax error.
 ///
 /// # Examples
 ///
@@ -34,6 +55,8 @@ pub fn parse(src: &str) -> Result<Program, Error> {
             span: Span { line: 1, col: 1 },
         },
         lex_error: None,
+        stmt_depth: 1,
+        open: 0,
         prog: Program::default(),
     };
     p.bump();
@@ -59,6 +82,12 @@ struct Parser<'src> {
     /// The lexical error that ended the token stream, if any: the stream
     /// then reads as end of input, and [`parse`] reports this error.
     lex_error: Option<Error>,
+    /// The nesting depth of the block being parsed: 1 for the program
+    /// body, one more inside each compound statement.
+    stmt_depth: usize,
+    /// Parentheses, unary operators and call argument lists open around
+    /// the expression being parsed.
+    open: usize,
     prog: Program,
 }
 
@@ -115,6 +144,29 @@ impl<'src> Parser<'src> {
         }
     }
 
+    /// A [`ErrorKind::TooDeep`] error at the current token.
+    fn err_too_deep(&self) -> Error {
+        Error::new(ErrorKind::TooDeep, self.tok.span.line, self.tok.span.col)
+    }
+
+    /// The height of a node over children at most `height` tall.
+    fn parent_height(&self, height: usize) -> Result<usize, Error> {
+        if height < MAX_NESTING {
+            Ok(height + 1)
+        } else {
+            Err(self.err_too_deep())
+        }
+    }
+
+    /// Opens one level of parentheses, unary operator or call arguments.
+    fn open(&mut self) -> Result<(), Error> {
+        if self.open == MAX_NESTING {
+            return Err(self.err_too_deep());
+        }
+        self.open += 1;
+        Ok(())
+    }
+
     fn err_expected(&self, expected: &str) -> Error {
         Error::new(
             ErrorKind::UnexpectedToken {
@@ -167,9 +219,10 @@ impl<'src> Parser<'src> {
 
     /// A brace-enclosed block or a single statement.
     fn parse_block_or_stmt(&mut self) -> Result<Vec<StmtId>, Error> {
+        self.enter_block()?;
+        let mut stmts = Vec::new();
         if self.at(TokenKind::LBrace) {
             self.bump();
-            let mut stmts = Vec::new();
             while !self.at(TokenKind::RBrace) {
                 if self.at(TokenKind::Eof) {
                     return Err(self.err_expected("`}`"));
@@ -177,16 +230,33 @@ impl<'src> Parser<'src> {
                 stmts.push(self.parse_stmt()?);
             }
             self.bump();
-            Ok(stmts)
         } else {
-            Ok(vec![self.parse_stmt()?])
+            stmts.push(self.parse_stmt()?);
         }
+        self.stmt_depth -= 1;
+        Ok(stmts)
+    }
+
+    /// Enters a compound statement's block, one nesting level deeper.
+    /// Every block counts, empty ones too, so inserting a statement into
+    /// any block of a parsed program keeps it within [`MAX_NESTING`].
+    fn enter_block(&mut self) -> Result<(), Error> {
+        if self.stmt_depth == MAX_NESTING {
+            return Err(self.err_too_deep());
+        }
+        self.stmt_depth += 1;
+        Ok(())
     }
 
     /// A statement with its `IDENT ':'` label prefixes.
+    ///
+    /// Nested statements recurse through here, the compound statements'
+    /// parsers and [`Parser::parse_block_or_stmt`] alone; simple
+    /// statements are parsed off that path, so each nesting level costs
+    /// only these small frames, unoptimized builds included.
     fn parse_stmt(&mut self) -> Result<StmtId, Error> {
         let mut labels = Vec::new();
-        loop {
+        let (line, kind) = loop {
             let line = self.tok.span.line;
             let kind = match self.tok.kind {
                 TokenKind::Ident(name) => {
@@ -196,12 +266,17 @@ impl<'src> Parser<'src> {
                         labels.push(self.intern_label(name));
                         continue;
                     }
-                    self.parse_assign(name)?
+                    self.parse_assign(name)
                 }
-                _ => self.parse_stmt_kind()?,
+                TokenKind::KwIf => self.parse_if(),
+                TokenKind::KwWhile => self.parse_while(),
+                TokenKind::KwDo => self.parse_do_while(),
+                TokenKind::KwSwitch => self.parse_switch(),
+                _ => self.parse_simple_stmt(),
             };
-            return Ok(self.alloc(kind, labels, line));
-        }
+            break (line, kind?);
+        };
+        Ok(self.alloc(kind, labels, line))
     }
 
     /// `name = e;` after `name`.
@@ -213,8 +288,74 @@ impl<'src> Parser<'src> {
         Ok(StmtKind::Assign { lhs, rhs })
     }
 
-    /// A statement not starting with an identifier.
-    fn parse_stmt_kind(&mut self) -> Result<StmtKind, Error> {
+    /// `(e)`: a condition, a scrutinee or a written value.
+    fn parse_paren_expr(&mut self) -> Result<Expr, Error> {
+        self.expect(TokenKind::LParen)?;
+        let cond = self.parse_expr()?;
+        self.expect(TokenKind::RParen)?;
+        Ok(cond)
+    }
+
+    /// `if (c) …`, with or without `else`, or the fused `if (c) goto L;`.
+    fn parse_if(&mut self) -> Result<StmtKind, Error> {
+        self.bump();
+        let cond = self.parse_paren_expr()?;
+        // Fuse the exact unbraced `if (c) goto L;` pattern into a single
+        // conditional-jump statement (paper, Figure 4).
+        if self.at(TokenKind::KwGoto) {
+            if let [TokenKind::Ident(l), TokenKind::Semi, after] = self.lookahead() {
+                if after != TokenKind::KwElse {
+                    self.bump();
+                    self.bump();
+                    self.bump();
+                    let target = self.intern_label(l);
+                    return Ok(StmtKind::CondGoto { cond, target });
+                }
+            }
+        }
+        let then_branch = self.parse_block_or_stmt()?;
+        let else_branch = if self.at(TokenKind::KwElse) {
+            self.bump();
+            self.parse_block_or_stmt()?
+        } else {
+            Vec::new()
+        };
+        Ok(StmtKind::If {
+            cond,
+            then_branch,
+            else_branch,
+        })
+    }
+
+    fn parse_while(&mut self) -> Result<StmtKind, Error> {
+        self.bump();
+        let cond = self.parse_paren_expr()?;
+        let body = self.parse_block_or_stmt()?;
+        Ok(StmtKind::While { cond, body })
+    }
+
+    fn parse_do_while(&mut self) -> Result<StmtKind, Error> {
+        self.bump();
+        let body = self.parse_block_or_stmt()?;
+        self.expect(TokenKind::KwWhile)?;
+        let cond = self.parse_paren_expr()?;
+        self.expect(TokenKind::Semi)?;
+        Ok(StmtKind::DoWhile { body, cond })
+    }
+
+    fn parse_switch(&mut self) -> Result<StmtKind, Error> {
+        self.bump();
+        let scrutinee = self.parse_paren_expr()?;
+        self.expect(TokenKind::LBrace)?;
+        self.enter_block()?;
+        let arms = self.parse_switch_arms()?;
+        self.stmt_depth -= 1;
+        self.expect(TokenKind::RBrace)?;
+        Ok(StmtKind::Switch { scrutinee, arms })
+    }
+
+    /// A statement that nests no other: not an assignment, not compound.
+    fn parse_simple_stmt(&mut self) -> Result<StmtKind, Error> {
         match self.tok.kind {
             TokenKind::Semi => {
                 self.bump();
@@ -234,70 +375,9 @@ impl<'src> Parser<'src> {
             }
             TokenKind::KwWrite => {
                 self.bump();
-                self.expect(TokenKind::LParen)?;
-                let arg = self.parse_expr()?;
-                self.expect(TokenKind::RParen)?;
+                let arg = self.parse_paren_expr()?;
                 self.expect(TokenKind::Semi)?;
                 Ok(StmtKind::Write { arg })
-            }
-            TokenKind::KwIf => {
-                self.bump();
-                self.expect(TokenKind::LParen)?;
-                let cond = self.parse_expr()?;
-                self.expect(TokenKind::RParen)?;
-                // Fuse the exact unbraced `if (c) goto L;` pattern into a
-                // single conditional-jump statement (paper, Figure 4).
-                if self.at(TokenKind::KwGoto) {
-                    if let [TokenKind::Ident(l), TokenKind::Semi, after] = self.lookahead() {
-                        if after != TokenKind::KwElse {
-                            self.bump();
-                            self.bump();
-                            self.bump();
-                            let target = self.intern_label(l);
-                            return Ok(StmtKind::CondGoto { cond, target });
-                        }
-                    }
-                }
-                let then_branch = self.parse_block_or_stmt()?;
-                let else_branch = if self.at(TokenKind::KwElse) {
-                    self.bump();
-                    self.parse_block_or_stmt()?
-                } else {
-                    Vec::new()
-                };
-                Ok(StmtKind::If {
-                    cond,
-                    then_branch,
-                    else_branch,
-                })
-            }
-            TokenKind::KwWhile => {
-                self.bump();
-                self.expect(TokenKind::LParen)?;
-                let cond = self.parse_expr()?;
-                self.expect(TokenKind::RParen)?;
-                let body = self.parse_block_or_stmt()?;
-                Ok(StmtKind::While { cond, body })
-            }
-            TokenKind::KwDo => {
-                self.bump();
-                let body = self.parse_block_or_stmt()?;
-                self.expect(TokenKind::KwWhile)?;
-                self.expect(TokenKind::LParen)?;
-                let cond = self.parse_expr()?;
-                self.expect(TokenKind::RParen)?;
-                self.expect(TokenKind::Semi)?;
-                Ok(StmtKind::DoWhile { body, cond })
-            }
-            TokenKind::KwSwitch => {
-                self.bump();
-                self.expect(TokenKind::LParen)?;
-                let scrutinee = self.parse_expr()?;
-                self.expect(TokenKind::RParen)?;
-                self.expect(TokenKind::LBrace)?;
-                let arms = self.parse_switch_arms()?;
-                self.expect(TokenKind::RBrace)?;
-                Ok(StmtKind::Switch { scrutinee, arms })
             }
             TokenKind::KwGoto => {
                 self.bump();
@@ -380,86 +460,107 @@ impl<'src> Parser<'src> {
     }
 
     // ---- Expressions (precedence climbing) ----
+    //
+    // Each parser below returns its expression with the tree's height,
+    // which never exceeds `MAX_NESTING`: a flat chain is built by a loop,
+    // not by recursion, so only the height bounds what later passes
+    // recurse over.
 
     fn parse_expr(&mut self) -> Result<Expr, Error> {
-        self.parse_binary(1)
+        Ok(self.parse_binary(1)?.0)
     }
 
     /// An expression whose binary operators all bind at least as tightly
     /// as `min_prec`. Each operator's right operand binds one level
     /// tighter, so operators of one level associate to the left.
-    fn parse_binary(&mut self, min_prec: u8) -> Result<Expr, Error> {
-        let mut lhs = self.parse_unary()?;
+    fn parse_binary(&mut self, min_prec: u8) -> Result<(Expr, usize), Error> {
+        let (mut lhs, mut height) = self.parse_unary()?;
         while let Some(op) = binary_op(self.tok.kind) {
             let prec = op.precedence();
             if prec < min_prec {
                 break;
             }
+            height = self.parent_height(height)?;
             self.bump();
-            let rhs = self.parse_binary(prec + 1)?;
+            let (rhs, rhs_height) = self.parse_binary(prec + 1)?;
+            height = height.max(self.parent_height(rhs_height)?);
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn parse_unary(&mut self) -> Result<Expr, Error> {
-        match self.tok.kind {
-            TokenKind::Minus => {
-                self.bump();
-                // `-9223372036854775808` is the literal `i64::MIN`, whose
-                // magnitude has no `i64`; any other `-n` stays a negation.
-                if self.tok.kind == TokenKind::Int(1 << 63) {
-                    self.bump();
-                    return Ok(Expr::Num(i64::MIN));
-                }
-                Ok(Expr::Unary(UnOp::Neg, Box::new(self.parse_unary()?)))
-            }
-            TokenKind::Bang => {
-                self.bump();
-                Ok(Expr::Unary(UnOp::Not, Box::new(self.parse_unary()?)))
-            }
-            _ => self.parse_primary(),
+    fn parse_unary(&mut self) -> Result<(Expr, usize), Error> {
+        let op = match self.tok.kind {
+            TokenKind::Minus => UnOp::Neg,
+            TokenKind::Bang => UnOp::Not,
+            _ => return self.parse_primary(),
+        };
+        self.open()?;
+        self.bump();
+        // `-9223372036854775808` is the literal `i64::MIN`, whose
+        // magnitude has no `i64`; any other `-n` stays a negation.
+        if op == UnOp::Neg && self.tok.kind == TokenKind::Int(1 << 63) {
+            self.bump();
+            self.open -= 1;
+            return Ok((Expr::Num(i64::MIN), 1));
         }
+        let (operand, height) = self.parse_unary()?;
+        self.open -= 1;
+        let height = self.parent_height(height)?;
+        Ok((Expr::Unary(op, Box::new(operand)), height))
     }
 
-    fn parse_primary(&mut self) -> Result<Expr, Error> {
+    fn parse_primary(&mut self) -> Result<(Expr, usize), Error> {
         match self.tok.kind {
             TokenKind::Int(magnitude) => {
                 let n = self.int_literal(magnitude, false)?;
                 self.bump();
-                Ok(Expr::Num(n))
+                Ok((Expr::Num(n), 1))
             }
             TokenKind::Ident(name) => {
                 self.bump();
                 if self.at(TokenKind::LParen) {
-                    self.bump();
-                    let mut args = Vec::new();
-                    if !self.at(TokenKind::RParen) {
-                        loop {
-                            args.push(self.parse_expr()?);
-                            if self.at(TokenKind::Comma) {
-                                self.bump();
-                            } else {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect(TokenKind::RParen)?;
-                    let f = self.intern_name(name);
-                    Ok(Expr::Call(f, args))
+                    self.parse_call(name)
                 } else {
                     let v = self.intern_name(name);
-                    Ok(Expr::Var(v))
+                    Ok((Expr::Var(v), 1))
                 }
             }
             TokenKind::LParen => {
+                self.open()?;
                 self.bump();
-                let e = self.parse_expr()?;
+                let e = self.parse_binary(1)?;
                 self.expect(TokenKind::RParen)?;
+                self.open -= 1;
                 Ok(e)
             }
             _ => Err(self.err_expected("an expression")),
         }
+    }
+
+    /// `name(args)` from the `(`.
+    fn parse_call(&mut self, name: &str) -> Result<(Expr, usize), Error> {
+        self.open()?;
+        self.bump();
+        let mut args = Vec::new();
+        let mut height = 0;
+        if !self.at(TokenKind::RParen) {
+            loop {
+                let (arg, h) = self.parse_binary(1)?;
+                args.push(arg);
+                height = height.max(h);
+                if self.at(TokenKind::Comma) {
+                    self.bump();
+                } else {
+                    break;
+                }
+            }
+        }
+        let height = self.parent_height(height)?;
+        self.expect(TokenKind::RParen)?;
+        self.open -= 1;
+        let f = self.intern_name(name);
+        Ok((Expr::Call(f, args), height))
     }
 }
 
@@ -518,6 +619,35 @@ mod tests {
             panic!()
         };
         assert!(matches!(**inner, Expr::Unary(UnOp::Neg, _)));
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_a_positioned_error() {
+        // `MAX_NESTING` terms parse; the operator adding one more is the
+        // error, at column 4k + 3 for the k-th ` + 1`.
+        let chain = |terms: usize| format!("x = y{};", " + 1".repeat(terms - 1));
+        assert!(parse(&chain(MAX_NESTING)).is_ok());
+        let e = parse(&chain(MAX_NESTING + 1)).unwrap_err();
+        assert_eq!(
+            (e.kind, e.line, e.col),
+            (ErrorKind::TooDeep, 1, 4 * MAX_NESTING as u32 + 3)
+        );
+        // Blocks count even when empty: the program body plus
+        // `MAX_NESTING - 1` loop bodies fit, one more does not.
+        let loops = |n: usize| format!("{}{}", "while (1) {".repeat(n), "}".repeat(n));
+        assert!(parse(&loops(MAX_NESTING - 1)).is_ok());
+        let e = parse(&loops(MAX_NESTING)).unwrap_err();
+        assert_eq!(e.kind, ErrorKind::TooDeep);
+        for deep in [
+            "(".repeat(MAX_NESTING + 1),
+            "-".repeat(MAX_NESTING + 1),
+            "f(".repeat(MAX_NESTING + 1),
+        ] {
+            assert_eq!(
+                parse(&format!("x = {deep}")).unwrap_err().kind,
+                ErrorKind::TooDeep
+            );
+        }
     }
 
     #[test]

@@ -219,7 +219,6 @@ impl Engine {
                                 Json::Str(
                                     match outcome.path {
                                         ApplyPath::ExprPatch => "expr_patch",
-                                        ApplyPath::SeededResolve => "seeded_resolve",
                                         ApplyPath::FullRebuild => "full_rebuild",
                                     }
                                     .to_owned(),
@@ -718,6 +717,39 @@ mod tests {
         ));
         check_reply("{\"op\":\"load\",\"source\":\"read(x); \u{0001} write(x);\"}");
         // The daemon is still healthy after all of it.
+        ok(&e.handle_line(&format!(
+            r#"{{"op":"slice","program":"{key}","algo":"fig7","criteria":[{{"line":4}}]}}"#
+        )));
+    }
+
+    /// Programs nested past [`jumpslice_lang::MAX_NESTING`] — a
+    /// 30k-term flat chain that used to overflow the analysis, 100k nested
+    /// parentheses that used to overflow the parser — and an edit
+    /// expression past the bound come back as error replies on this
+    /// default-sized thread stack, and the daemon keeps serving.
+    #[test]
+    fn nesting_past_the_bound_is_an_error_reply() {
+        let e = Engine::new(usize::MAX);
+        let chain = format!("y{}", " + 1".repeat(30_000));
+        let parens = format!("{}y{}", "(".repeat(100_000), ")".repeat(100_000));
+        for expr in [&chain, &parens] {
+            let line = Json::Obj(vec![
+                ("op".to_owned(), Json::Str("load".to_owned())),
+                (
+                    "source".to_owned(),
+                    Json::Str(format!("read(y); x = {expr}; write(x);")),
+                ),
+            ])
+            .write_compact();
+            let msg = err(&e.handle_line(&line));
+            assert!(msg.contains("nested deeper than"), "{msg}");
+        }
+        let key = load(&e, FIG3A);
+        let edit = format!(
+            r#"{{"op":"edit","program":"{key}","edit":{{"kind":"replace_expr","path":[["body",2]],"expr":"{chain}"}}}}"#
+        );
+        let msg = err(&e.handle_line(&edit));
+        assert!(msg.contains("nested deeper than"), "{msg}");
         ok(&e.handle_line(&format!(
             r#"{{"op":"slice","program":"{key}","algo":"fig7","criteria":[{{"line":4}}]}}"#
         )));

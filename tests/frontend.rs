@@ -1,9 +1,12 @@
 //! Front-end properties: printing and re-parsing reaches a fixed point on
-//! generated programs, and no input — random bytes, random chars, token
-//! soup or a mangled program — panics the lexer or the parser.
+//! generated programs, no input — random bytes, random chars, token soup,
+//! a mangled program or a deeply nested one — panics the lexer or the
+//! parser, and programs nested exactly [`MAX_NESTING`] deep go through
+//! the whole pipeline on a spawned thread's default stack.
 
 use jumpslice::prelude::*;
-use jumpslice_lang::{Lexer, TokenKind};
+use jumpslice_core::{decode_snapshot, encode_snapshot};
+use jumpslice_lang::{ErrorKind, Lexer, TokenKind, MAX_NESTING};
 use jumpslice_testkit::{check, Rng};
 
 /// `parse(print_program(q)) == q` for `q = parse(print_program(p))`: the
@@ -93,11 +96,37 @@ const FRAGMENTS: &[&str] = &[
     "\0",
 ];
 
-/// A random input: raw bytes, random chars, fragment soup, or a small
-/// generated program with a few spans replaced by fragments.
+/// The deeply nested shapes, `depth` levels deep on the measure each
+/// one stresses.
+fn deep_shapes(depth: usize) -> [String; 4] {
+    [
+        // A flat chain: `depth - 1` operators over `depth` leaves.
+        format!("read(y); x = y{}; write(x);", " + 1".repeat(depth - 1)),
+        format!(
+            "read(y); x = {}y{}; write(x);",
+            "(".repeat(depth),
+            ")".repeat(depth)
+        ),
+        // `depth - 1` unary operators over a leaf.
+        format!(
+            "read(y); x = {}y; write(x);",
+            "!-".repeat((depth - 1) / 2) + &"!".repeat((depth - 1) % 2)
+        ),
+        // A top-level loop nest: the innermost assignment sits at `depth`.
+        format!(
+            "read(x); {} x = x - 1; {} write(x);",
+            "while (x > 0) {".repeat(depth - 1),
+            "}".repeat(depth - 1)
+        ),
+    ]
+}
+
+/// A random input: raw bytes, random chars, fragment soup, a small
+/// generated program with a few spans replaced by fragments, or a deep
+/// shape around [`MAX_NESTING`].
 fn soup(rng: &mut Rng) -> String {
     let len = rng.gen_range(0..48usize);
-    match rng.gen_range(0..4u32) {
+    match rng.gen_range(0..5u32) {
         0 => {
             let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
             String::from_utf8_lossy(&bytes).into_owned()
@@ -111,7 +140,7 @@ fn soup(rng: &mut Rng) -> String {
         2 => (0..len)
             .map(|_| FRAGMENTS[rng.gen_range(0..FRAGMENTS.len())])
             .collect(),
-        _ => {
+        3 => {
             let cfg = GenConfig::sized(rng.next_u64(), rng.gen_range(4..30usize));
             let mut text = print_program(&gen_unstructured(&cfg));
             for _ in 0..rng.gen_range(1..4u32) {
@@ -126,6 +155,11 @@ fn soup(rng: &mut Rng) -> String {
                 text.replace_range(at..end, FRAGMENTS[rng.gen_range(0..FRAGMENTS.len())]);
             }
             text
+        }
+        _ => {
+            let depth = MAX_NESTING - 2 + rng.gen_range(0..5usize);
+            let shapes = deep_shapes(depth);
+            shapes[rng.gen_range(0..shapes.len())].clone()
         }
     }
 }
@@ -160,6 +194,64 @@ fn front_end_survives(src: &str) {
 #[test]
 fn soup_never_panics_the_front_end() {
     check(2_000, |rng| front_end_survives(&soup(rng)));
+    // Far past the bound: what overflowed the parser's stack (100k
+    // parentheses or loops) or a later pass's (a 30k-term chain).
+    for src in deep_shapes(30_000).iter().chain(&deep_shapes(100_000)) {
+        front_end_survives(src);
+    }
+}
+
+/// Programs nested exactly [`MAX_NESTING`] deep on each measure parse,
+/// analyze, slice, run, print, and survive a snapshot round trip on a
+/// thread with the 2 MiB stack `std::thread::spawn` gives by default;
+/// one level deeper is a positioned [`ErrorKind::TooDeep`] error.
+#[test]
+fn programs_at_the_nesting_bound_run_end_to_end() {
+    let run_all = || {
+        let mut at_bound = deep_shapes(MAX_NESTING).to_vec();
+        // Both measures at once: a loop nest whose innermost statement
+        // carries a right-nested, parenthesized chain as tall as allowed.
+        let chain =
+            "y - (".repeat((MAX_NESTING - 1) / 2) + "y" + &")".repeat((MAX_NESTING - 1) / 2);
+        at_bound.push(format!(
+            "read(y); {} y = {chain}; {} write(y);",
+            "while (y > 0) {".repeat(MAX_NESTING - 1),
+            "}".repeat(MAX_NESTING - 1)
+        ));
+        for src in &at_bound {
+            let p = parse(src).unwrap_or_else(|e| panic!("{e} on {src:.60}"));
+            let a = Analysis::new(&p);
+            a.warm();
+            for s in p.stmt_ids() {
+                let slice = agrawal_slice(&a, &Criterion::at_stmt(s));
+                let text = print_slice(&p, &|t| slice.stmts.contains(t), &slice.moved_labels);
+                assert!(!text.is_empty());
+            }
+            let last = *p.body().last().unwrap();
+            let slice = agrawal_slice(&a, &Criterion::at_stmt(last));
+            let inputs = [Input::default()];
+            check_projection(&p, &slice.stmts, &slice.moved_labels, &inputs)
+                .unwrap_or_else(|e| panic!("{e:?} on {src:.60}"));
+            let text = print_program(&p);
+            let q = parse(&text).unwrap_or_else(|e| panic!("{e} on {src:.60}"));
+            assert_eq!(print_program(&q), text);
+            let snap = decode_snapshot(&encode_snapshot(src, &p, &a.into_seed()))
+                .unwrap_or_else(|e| panic!("{e:?} on {src:.60}"));
+            assert_eq!(snap.prog, p);
+        }
+        for src in deep_shapes(MAX_NESTING + 1) {
+            let e = parse(&src).expect_err(&src);
+            assert_eq!(e.kind, ErrorKind::TooDeep, "{e} on {src:.60}");
+            assert_eq!(e.line, 1, "{e}");
+            assert!(e.col > 1, "{e}");
+        }
+    };
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(run_all)
+        .unwrap()
+        .join()
+        .unwrap();
 }
 
 /// The wide run of [`soup_never_panics_the_front_end`], for the nightly

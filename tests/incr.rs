@@ -1,8 +1,8 @@
 //! The incremental edit-and-reslice session, driven through the facade:
 //! the session's answers must be indistinguishable from a from-scratch
-//! analysis after every edit, the fast paths must actually engage, and
-//! structure-changing edits must take the counted rebuild path rather
-//! than serving stale postdominators or a stale lexical successor tree.
+//! analysis after every edit, the expression patch must actually engage,
+//! and every other edit must take the counted rebuild path rather than
+//! serving stale postdominators or a stale lexical successor tree.
 
 use jumpslice::prelude::*;
 use jumpslice_lang::{BlockSel, StmtPath};
@@ -78,8 +78,10 @@ fn edit_script_matches_scratch_through_the_facade() {
     let stats = s.stats();
     assert_eq!(stats.edits, 4);
     assert_eq!(stats.expr_patches, 1);
-    assert_eq!(stats.seeded_resolves, 2);
-    assert_eq!(stats.full_rebuilds, 1, "the jump toggle must fall back");
+    assert_eq!(
+        stats.full_rebuilds, 3,
+        "the insert, the delete and the jump toggle rebuild"
+    );
 }
 
 #[test]
@@ -104,26 +106,25 @@ fn fast_paths_reuse_warm_artifacts() {
     assert_eq!(st.pdom_builds, 0);
     assert_eq!(st.lst_builds, 0);
 
-    // A seeded re-solve carries reaching and the PDG over pre-resolved;
-    // only the LST is rebuilt lazily.
-    s.apply(&Edit::InsertStmt {
-        at: StmtPath::root(4),
-        stmt: NewStmt::Write {
-            arg: EditExpr::Var("b".into()),
-        },
-    })
-    .unwrap();
+    // An insertion shifts ids: the session keeps only the flowgraph, and
+    // the next warm() builds every other artifact once.
+    let out = s
+        .apply(&Edit::InsertStmt {
+            at: StmtPath::root(4),
+            stmt: NewStmt::Write {
+                arg: EditExpr::Var("b".into()),
+            },
+        })
+        .unwrap();
+    assert_eq!(out.path, ApplyPath::FullRebuild);
     let st = s.with_analysis(|a| {
         a.warm();
         a.stats()
     });
-    assert_eq!(st.reaching_defs, 0, "reaching arrived warm from the seed");
-    assert_eq!(st.pdg_builds, 0, "the PDG was patched, not rebuilt");
-    assert_eq!(
-        st.pdom_builds, 0,
-        "postdominators were shared from the re-solve"
-    );
-    assert_eq!(st.lst_builds, 1, "lexical positions shifted");
+    assert_eq!(st.reaching_defs, 1);
+    assert_eq!(st.pdg_builds, 1);
+    assert_eq!(st.pdom_builds, 1);
+    assert_eq!(st.lst_builds, 1);
     assert_matches_scratch(&mut s);
 }
 
